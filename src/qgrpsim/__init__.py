@@ -26,7 +26,6 @@ from .geometry import GeoContext, Position, deviation_angle, distance, is_forwar
 from .link_estimation import (
     ChannelObservation,
     LinkEstimate,
-    average_backoff_overhead,
     estimate_bandwidth,
     refresh_estimates,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "Topology",
     "aggregate",
     "attempt_probability",
-    "average_backoff_overhead",
     "build_table",
     "collision_probability",
     "compute_metrics",

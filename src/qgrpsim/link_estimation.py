@@ -7,10 +7,12 @@ capacity figure per neighbor.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .dcf import CollisionTable, DcfParams, lookup_p_c
-from .geometry import Position, distance
+# lookup_p_c stays importable from here: the benchmark's tracer counts lookups by this name.
+from .dcf import DcfParams, lookup_p_c  # noqa: F401
+from .geometry import Position
 
 
 @dataclass(frozen=True)
@@ -84,40 +86,27 @@ def mean_backoff_slots(p_c: float, params: DcfParams) -> float:
     return total
 
 
-def average_backoff_overhead(p_c: float, params: DcfParams) -> float:
-    """Fraction of airtime lost to backoff at the given collision probability.
-
-    Monotone increasing in p_c; p_c = 1 is rejected because the retry
-    series diverges.
-    """
-    backoff_time = mean_backoff_slots(p_c, params) * params.virtual_slot
-    return backoff_time / (params.payload_duration + backoff_time)
-
-
 def refresh_estimates(
     now: float,
     local_idle_fraction: float,
     neighbors: dict[int, NeighborRecord],
-    self_position: Position,
-    table: CollisionTable,
-    density: float,
+    link_cost: Callable,
     b_no: float,
-    params: DcfParams,
     expiry: float,
     window: float = 1.0,
 ) -> dict[int, LinkEstimate]:
     """Rebuild the per-neighbor estimates from current hello records.
 
     Neighbors whose last hello is older than expiry seconds are dropped
-    from the estimate set.  The density is in nodes per 1e6 m^2, matching
-    the table axis.
+    from the estimate set.  link_cost(peer) gives the link's collision
+    probability and backoff overhead.
     """
     estimates: dict[int, LinkEstimate] = {}
     for peer, rec in neighbors.items():
         if now - rec.last_heard > expiry:
             continue
-        p_c = lookup_p_c(table, density, distance(self_position, rec.position))
-        overhead = average_backoff_overhead(p_c, params)
+        cost = link_cost(peer)
         obs = ChannelObservation(window, local_idle_fraction, rec.idle_fraction)
-        estimates[peer] = LinkEstimate(peer, estimate_bandwidth(obs, p_c, b_no, overhead), p_c, now)
+        bandwidth = estimate_bandwidth(obs, cost.p_c, b_no, cost.backoff_overhead)
+        estimates[peer] = LinkEstimate(peer, bandwidth, cost.p_c, now)
     return estimates

@@ -60,7 +60,6 @@ class RouteEntry:
     next_hop: int
     dest_seq: int
     path_bandwidth: float
-    established_at: float
     valid: bool = True
 
 
@@ -123,7 +122,6 @@ class FlowState:
     failed: bool = False
     buffered: deque = field(default_factory=deque)
     rreq_retries_used: int = 0
-    next_retry_at: float = 0.0
     timer_gen: int = 0
     total_rreqs: int = 0
     max_grantable_seen: float = math.inf
@@ -199,11 +197,8 @@ class QgrpNode:
             now,
             self.env.idle_fraction(self.id, now),
             self.neighbors,
-            self.env.positions[self.id],
-            self.env.table,
-            self.env.density,
+            lambda peer: self.env.link_cost(self.id, peer),
             self.env.b_no,
-            self.env.dcf,
             self.env.hello_expiry,
         )
         self._estimates_at = now
@@ -428,7 +423,7 @@ class QgrpNode:
         ):
             next_hop = trace[idx + 1]
             self.routes[pkt.destination] = RouteEntry(
-                pkt.destination, next_hop, pkt.dest_seq, pkt.path_bandwidth, now
+                pkt.destination, next_hop, pkt.dest_seq, pkt.path_bandwidth
             )
             self.env.log(
                 now, self.id, "route_install", pkt.destination, next_hop, pkt.dest_seq,
@@ -489,7 +484,6 @@ class QgrpNode:
             return self._fail_flow(flow, now)
         delay = self.env.retry_backoff * (2**flow.rreq_retries_used)
         flow.timer_gen += 1
-        flow.next_retry_at = now + delay
         return [StartTimer(delay, "rreq_retry", (flow.flow_id, flow.timer_gen))]
 
     def _fail_flow(self, flow: FlowState, now: float) -> list:

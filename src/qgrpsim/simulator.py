@@ -10,12 +10,11 @@ mutable state.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from dataclasses import dataclass, field
 
 from .actions import Broadcast, StartTimer, Unicast
-from .aodv import AodvNode, AodvRrep, AodvRreq
+from .aodv import AodvNode
 from .dcf import CollisionTable, DcfParams, build_table, lookup_p_c
 from .geometry import Position, distance
 from .link_estimation import mean_backoff_slots
@@ -104,32 +103,45 @@ def generate_topology(
     return Topology(nodes, sink_id, (float(w), float(h)), float(tx_range), seed)
 
 
-def radio_tx_energy(bits: int, dist: float, e_elec: float, e_amp: float) -> float:
-    """First-order radio transmit cost: electronics plus d^2 amplifier term."""
-    return e_elec * bits + e_amp * bits * dist * dist
-
-
 def radio_rx_energy(bits: int, e_elec: float) -> float:
     return e_elec * bits
 
 
-def transmission_airtime(bits: int, b_no: float, p_c: float, params: DcfParams) -> float:
-    """Airtime of one transmission attempt: serialization plus expected contention."""
-    contention = mean_backoff_slots(min(p_c, 1.0 - 1e-9), params) * params.virtual_slot
-    return bits / b_no + contention / (1.0 - min(p_c, 1.0 - 1e-9))
+@dataclass(frozen=True, slots=True)
+class LinkCost:
+    """What one transmission attempt over a link costs.
+
+    Collision probability, expected contention airtime, share of airtime
+    lost to backoff, and first-order radio transmit energy per bit.
+    """
+
+    p_c: float
+    contention_s: float
+    backoff_overhead: float
+    tx_j_per_bit: float
+
+
+def build_link_cost(p_c: float, dist: float, params: DcfParams, e_elec: float,
+                    e_amp: float) -> LinkCost:
+    """Cost of a link of length dist; p_c = 1 is rejected, the retry series diverges."""
+    backoff_s = mean_backoff_slots(p_c, params) * params.virtual_slot
+    return LinkCost(
+        p_c,
+        backoff_s / (1.0 - p_c),
+        backoff_s / (params.payload_duration + backoff_s),
+        e_elec + e_amp * dist * dist,
+    )
 
 
 class _ProtocolEnv:
-    """Node-facing view of the engine: positions, model tables, and callbacks."""
+    """Node-facing view of the engine: positions, link costs, and callbacks."""
 
     def __init__(self, engine):
         self._engine = engine
         cfg = engine.cfg
         self.sink_id = engine.topology.sink_id
         self.positions = {node.id: node.position for node in engine.topology.nodes}
-        self.table = engine.table
-        self.density = engine.density
-        self.dcf = cfg.dcf.params
+        self.link_cost = engine.link_cost
         self.b_no = cfg.mac.b_no
         self.weights = cfg.weights
         self.initial_energy = cfg.energy.initial
@@ -187,6 +199,11 @@ class Engine:
             cfg.dcf.table_densities, cfg.dcf.table_distances, cfg.dcf.params,
             reduced=cfg.dcf.reduced,
         )
+        for density, row in zip(self.table.densities, self.table.p_c_grid):
+            for dist, p_c in zip(self.table.distances, row):
+                if p_c >= 1.0:
+                    raise ValueError(f"collision table cell (density {density!r}, distance "
+                                     f"{dist!r}) has p_c {p_c!r}; it must be below 1")
         w, h = cfg.topology.field
         self.density = cfg.topology.n / (w * h) * 1e6
         self.rng = random.Random(self.seed + 1_000_003)
@@ -195,7 +212,9 @@ class Engine:
         self.event_log: list[tuple] = []
         self._heap: list = []
         self._seq = 0
-        self._link_cache: dict[tuple[int, int], tuple[float, float, float]] = {}
+        # Filled lazily: building every link's record up front triples the set-up time.
+        self._link_cache: dict[tuple[int, int], LinkCost] = {}
+        self._broadcast_cost = self._cost_at(self.topology.tx_range)
         self._precompute_adjacency()
         self.env = _ProtocolEnv(self)
         node_cls = QgrpNode if self.protocol == "qgrp" else AodvNode
@@ -250,20 +269,18 @@ class Engine:
         busy = self.nodes[node_id].busy.get(int(now / window) - 1, 0.0)
         return max(0.0, 1.0 - busy / window)
 
-    def _link_params(self, u: int, v: int) -> tuple[float, float, float]:
-        """Cached (p_c, attempt airtime unit per bit-free part, tx energy per bit)."""
-        key = (u, v)
-        cached = self._link_cache.get(key)
-        if cached is None:
+    def _cost_at(self, dist: float) -> LinkCost:
+        energy = self.cfg.energy
+        p_c = lookup_p_c(self.table, self.density, dist)
+        return build_link_cost(p_c, dist, self.cfg.dcf.params, energy.e_elec, energy.e_amp)
+
+    def link_cost(self, u: int, v: int) -> LinkCost:
+        """Cost of the link from u to v, cached per directed pair."""
+        cost = self._link_cache.get((u, v))
+        if cost is None:
             d = distance(self.nodes[u].position, self.nodes[v].position)
-            p_c = lookup_p_c(self.table, self.density, d)
-            p_eff = min(p_c, 1.0 - 1e-9)
-            params = self.cfg.dcf.params
-            contention = mean_backoff_slots(p_eff, params) * params.virtual_slot / (1.0 - p_eff)
-            tx_per_bit = self.cfg.energy.e_elec + self.cfg.energy.e_amp * d * d
-            cached = (p_c, contention, tx_per_bit)
-            self._link_cache[key] = cached
-        return cached
+            cost = self._link_cache[u, v] = self._cost_at(d)
+        return cost
 
     def _debit(self, node: SensorNode, amount: float) -> tuple[float, bool]:
         """Consume energy, clamped at zero.  Returns (consumed, died_just_now).
@@ -313,8 +330,8 @@ class Engine:
             if isinstance(pkt, Data):
                 self.log_row(now, sender.id, "drop", pkt.flow_id, pkt.sequence, "queue_full")
             return
-        p_c, contention, tx_per_bit = self._link_params(sender.id, to_id)
-        unit = bits / self.cfg.mac.b_no + contention
+        cost = self.link_cost(sender.id, to_id)
+        unit = bits / self.cfg.mac.b_no + cost.contention_s
         start = max(now, sender.next_free)
         max_attempts = 1 + self.cfg.mac.retries
         attempts = 0
@@ -323,9 +340,9 @@ class Engine:
         died = False
         while attempts < max_attempts and sender.alive:
             attempts += 1
-            consumed, died = self._debit(sender, tx_per_bit * bits)
+            consumed, died = self._debit(sender, cost.tx_j_per_bit * bits)
             spent += consumed
-            if self.rng.random() >= p_c:
+            if self.rng.random() >= cost.p_c:
                 delivered = True
                 break
         end = start + attempts * unit
@@ -350,16 +367,11 @@ class Engine:
             return
         if sender.pending_tx >= self.cfg.mac.queue_limit:
             return
-        tx_range = self.topology.tx_range
-        p_edge = lookup_p_c(self.table, self.density, tx_range)
-        p_eff = min(p_edge, 1.0 - 1e-9)
-        params = self.cfg.dcf.params
-        contention = mean_backoff_slots(p_eff, params) * params.virtual_slot / (1.0 - p_eff)
-        unit = bits / self.cfg.mac.b_no + contention
+        cost = self._broadcast_cost
+        unit = bits / self.cfg.mac.b_no + cost.contention_s
         start = max(now, sender.next_free)
         end = start + unit
-        tx_per_bit = self.cfg.energy.e_elec + self.cfg.energy.e_amp * tx_range * tx_range
-        spent, died = self._debit(sender, tx_per_bit * bits)
+        spent, died = self._debit(sender, cost.tx_j_per_bit * bits)
         sender.pending_tx += 1
         sender.next_free = end
         self._charge_busy(sender, start, unit)
@@ -368,8 +380,7 @@ class Engine:
         if died:
             self.log_row(now, sender.id, "death")
         for nb_id in sender.neighbor_ids:
-            p_c, _, _ = self._link_params(sender.id, nb_id)
-            if self.rng.random() >= p_c:
+            if self.rng.random() >= self.link_cost(sender.id, nb_id).p_c:
                 self._schedule(end, _ARRIVAL, nb_id, sender.id, pkt, bits)
 
     # ----- event handlers -----
@@ -444,7 +455,8 @@ class Engine:
             time, _, kind, payload = heapq.heappop(heap)
             if time > duration:
                 break
-            assert time >= self.now, "event scheduled before its cause"
+            if time < self.now:
+                raise RuntimeError(f"event at {time!r} scheduled before its cause at {self.now!r}")
             self.now = time
             if kind == _ARRIVAL:
                 self._on_arrival(payload[0], payload[1], payload[2], payload[3], time)

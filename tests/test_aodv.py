@@ -1,9 +1,8 @@
-import random
 from collections import deque
 
 import pytest
 
-from qgrpsim.actions import Broadcast, StartTimer, Unicast
+from qgrpsim.actions import Broadcast, Unicast
 from qgrpsim.aodv import AodvNode, AodvRrep, AodvRreq
 from qgrpsim.config import parse_config
 from qgrpsim.geometry import Position, distance

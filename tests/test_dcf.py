@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import random
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from qgrpsim.dcf import (
     REFERENCE_DISTANCES,
     REFERENCE_PC,
     CollisionTable,
-    ConvergenceError,
     DcfParams,
     RegionCounts,
     SingularDenominatorError,
@@ -27,7 +25,6 @@ from qgrpsim.dcf import (
     reference_table,
     region_counts,
     solve_fixed_point,
-    table_to_csv_text,
     write_table_csv,
 )
 

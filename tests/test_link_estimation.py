@@ -3,20 +3,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
-from qgrpsim.geometry import Position
+from qgrpsim.geometry import Position, distance
 from qgrpsim.link_estimation import (
     ChannelObservation,
     NeighborRecord,
-    average_backoff_overhead,
     estimate_bandwidth,
     mean_backoff_slots,
     refresh_estimates,
 )
+from qgrpsim.simulator import build_link_cost
 
 DEFAULTS = DcfParams()
 B_NO = 2e6
 
 fraction = st.floats(min_value=0.0, max_value=1.0)
+
+
+def cost_at(p_c, dist=100.0):
+    return build_link_cost(p_c, dist, DEFAULTS, 50e-9, 100e-12)
+
+
+def reference_links(neighbors):
+    """link_cost(peer) over the reference grid at density 100, from the origin."""
+    table = reference_table()
+
+    def link_cost(peer):
+        dist = distance(Position(0, 0), neighbors[peer].position)
+        return cost_at(lookup_p_c(table, 100.0, dist), dist)
+
+    return link_cost
 
 
 def obs(local=1.0, peer=1.0):
@@ -69,16 +84,16 @@ def test_backoff_slots_without_retries():
 
 def test_backoff_overhead_derived_value():
     # 15.5 slots * 50 us over (4 ms + that) = 31/191.
-    assert average_backoff_overhead(0.0, DEFAULTS) == pytest.approx(31 / 191, rel=1e-14)
+    assert cost_at(0.0).backoff_overhead == pytest.approx(31 / 191, rel=1e-14)
 
 
 def test_backoff_overhead_monotone():
-    assert average_backoff_overhead(0.4, DEFAULTS) > average_backoff_overhead(0.1, DEFAULTS)
+    assert cost_at(0.4).backoff_overhead > cost_at(0.1).backoff_overhead
 
 
 def test_backoff_overhead_rejects_certain_collision():
     with pytest.raises(ValueError):
-        average_backoff_overhead(1.0, DEFAULTS)
+        cost_at(1.0)
 
 
 def test_backoff_slots_cap_at_cw_max():
@@ -92,17 +107,13 @@ def test_backoff_slots_cap_at_cw_max():
 # ----- refresh over hello records -----
 
 def test_refresh_no_neighbors():
-    got = refresh_estimates(
-        5.0, 1.0, {}, Position(0, 0), reference_table(), 100.0, B_NO, DEFAULTS, 3.0
-    )
+    got = refresh_estimates(5.0, 1.0, {}, reference_links({}), B_NO, 3.0)
     assert got == {}
 
 
 def test_refresh_uses_grid_value_at_grid_distance():
     neighbors = {7: NeighborRecord(Position(150.0, 0.0), 40.0, 1.0, 4.9, 3)}
-    got = refresh_estimates(
-        5.0, 1.0, neighbors, Position(0, 0), reference_table(), 100.0, B_NO, DEFAULTS, 3.0
-    )
+    got = refresh_estimates(5.0, 1.0, neighbors, reference_links(neighbors), B_NO, 3.0)
     assert got[7].p_c_used == 0.2727
     assert got[7].last_update == 5.0
 
@@ -112,9 +123,7 @@ def test_refresh_drops_stale_records():
         1: NeighborRecord(Position(100.0, 0.0), 40.0, 1.0, 4.5, 9),
         2: NeighborRecord(Position(120.0, 0.0), 40.0, 1.0, 1.0, 2),
     }
-    got = refresh_estimates(
-        5.0, 1.0, neighbors, Position(0, 0), reference_table(), 100.0, B_NO, DEFAULTS, 3.0
-    )
+    got = refresh_estimates(5.0, 1.0, neighbors, reference_links(neighbors), B_NO, 3.0)
     assert set(got) == {1}
 
 
@@ -125,14 +134,13 @@ def test_refresh_matches_per_link_recomputation():
         2: NeighborRecord(Position(0.0, 180.0), 30.0, 0.7, 4.5, 1),
         3: NeighborRecord(Position(160.0, 120.0), 20.0, 1.0, 5.0, 1),
     }
-    got = refresh_estimates(5.0, 0.8, neighbors, Position(0, 0), table, 100.0, B_NO, DEFAULTS, 3.0)
+    got = refresh_estimates(5.0, 0.8, neighbors, reference_links(neighbors), B_NO, 3.0)
     assert set(got) == {1, 2, 3}
     for peer, rec in neighbors.items():
         dist = (rec.position.x**2 + rec.position.y**2) ** 0.5
         p_c = lookup_p_c(table, 100.0, dist)
-        expected = (
-            B_NO * 0.8 * rec.idle_fraction * (1.0 - p_c)
-            * (1.0 - average_backoff_overhead(p_c, DEFAULTS))
-        )
+        backoff_s = mean_backoff_slots(p_c, DEFAULTS) * DEFAULTS.virtual_slot
+        overhead = backoff_s / (DEFAULTS.payload_duration + backoff_s)
+        expected = B_NO * 0.8 * rec.idle_fraction * (1.0 - p_c) * (1.0 - overhead)
         assert got[peer].available_bandwidth == pytest.approx(expected, rel=1e-12)
         assert got[peer].p_c_used == p_c

@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from qgrpsim.actions import StartTimer, Unicast
 from qgrpsim.dcf import DcfParams
-from qgrpsim.geometry import GeoContext, Position, is_forward_progress
+from qgrpsim.geometry import GeoContext, Position, distance, is_forward_progress
 from qgrpsim.link_estimation import LinkEstimate, NeighborRecord
 from qgrpsim.qgrp import (
     AdmissionNotify,
     Data,
-    FlowState,
     Hello,
     MetricWeights,
     MissingEstimateError,
@@ -22,7 +21,7 @@ from qgrpsim.qgrp import (
     Rreq,
     is_fresher,
 )
-from conftest import constant_table
+from qgrpsim.simulator import build_link_cost
 
 IDLE_FACTOR = 160 / 191  # 1 - backoff overhead at p_c = 0
 B_NO = 2e6
@@ -31,12 +30,9 @@ B_NO = 2e6
 class StubEnv:
     """Protocol environment with no engine behind it."""
 
-    def __init__(self, positions, sink_id, table=None, policy="retry"):
+    def __init__(self, positions, sink_id, policy="retry"):
         self.sink_id = sink_id
         self.positions = positions
-        self.table = table if table is not None else constant_table(0.0)
-        self.density = 100.0
-        self.dcf = DcfParams()
         self.b_no = B_NO
         self.weights = MetricWeights()
         self.initial_energy = 40.0
@@ -63,6 +59,11 @@ class StubEnv:
 
     def idle_fraction(self, node_id, now):
         return self.idle.get(node_id, 1.0)
+
+    def link_cost(self, u, v):
+        """A collision-free link under the default DCF and radio parameters."""
+        dist = distance(self.positions[u], self.positions[v])
+        return build_link_cost(0.0, dist, DcfParams(), 50e-9, 100e-12)
 
     def residual(self, node_id):
         return 40.0
@@ -396,9 +397,9 @@ def test_rrep_freshness_rules():
 
     # Equal sequence and bandwidth keeps the stored entry (non-strict case),
     # but the packet is still forwarded toward the source.
-    node.routes[3].established_at = 1.0
+    kept = node.routes[3]
     out = node.handle_rrep(Rrep(1, 0, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
-    assert node.routes[3].established_at == 1.0
+    assert node.routes[3] is kept
     assert out and out[0].to == 0
 
 

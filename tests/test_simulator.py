@@ -1,21 +1,20 @@
-import math
 import statistics
 
 import pytest
 
+from qgrpsim import simulator
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import DcfParams
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.qgrp import Data
 from qgrpsim.simulator import (
     Engine,
+    build_link_cost,
     format_log,
     generate_topology,
     parse_log,
     radio_rx_energy,
-    radio_tx_energy,
     run_scenario,
-    transmission_airtime,
 )
 from conftest import constant_table
 
@@ -69,13 +68,26 @@ def test_mean_neighbor_degree_over_seeds():
 
 def test_airtime_at_zero_collision():
     # 2000 bits at 2 Mbit/s plus 15.5 slots of 50 us.
-    got = transmission_airtime(2000, 2e6, 0.0, DcfParams())
-    assert got == pytest.approx(1.775e-3, rel=1e-12)
+    cost = build_link_cost(0.0, 100.0, DcfParams(), 50e-9, 100e-12)
+    assert 2000 / 2e6 + cost.contention_s == pytest.approx(1.775e-3, rel=1e-12)
 
 
 def test_radio_energy_examples():
     assert radio_rx_energy(2000, 50e-9) == pytest.approx(100e-6, rel=1e-12)
-    assert radio_tx_energy(2000, 250.0, 50e-9, 100e-12) == pytest.approx(12.6e-3, rel=1e-12)
+    cost = build_link_cost(0.0, 250.0, DcfParams(), 50e-9, 100e-12)
+    assert cost.tx_j_per_bit * 2000 == pytest.approx(12.6e-3, rel=1e-12)
+
+
+def test_collision_certain_table_is_rejected():
+    with pytest.raises(ValueError, match="density 1.0, distance 1.0"):
+        Engine(parse_config("[topology]\nn = 2\n"), table=constant_table(1.0))
+
+
+def test_event_before_its_cause_raises():
+    engine = Engine(run_cfg())
+    engine._schedule(-1.0, simulator._TX_DONE, 0)
+    with pytest.raises(RuntimeError, match="before its cause"):
+        engine.run()
 
 
 def test_unicast_loss_rate_matches_configured_p_c():
