@@ -23,12 +23,7 @@ from .dcf import (
     solve_fixed_point,
 )
 from .geometry import GeoContext, Position, deviation_angle, distance, is_forward_progress
-from .link_estimation import (
-    ChannelObservation,
-    LinkEstimate,
-    estimate_bandwidth,
-    refresh_estimates,
-)
+from .link_estimation import estimate_bandwidth, refresh_estimates
 from .metrics import AggregateMetrics, RunMetrics, aggregate, compute_metrics
 from .qgrp import MetricWeights, NodeEnergy, QgrpNode, RouteEntry
 from .simulator import Engine, Flow, Topology, generate_topology, run_scenario
@@ -37,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateMetrics",
-    "ChannelObservation",
     "CollisionTable",
     "ConfigError",
     "DcfParams",
@@ -45,7 +39,6 @@ __all__ = [
     "FixedPointSolution",
     "Flow",
     "GeoContext",
-    "LinkEstimate",
     "MetricWeights",
     "NodeEnergy",
     "Position",

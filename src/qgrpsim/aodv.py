@@ -164,7 +164,9 @@ class AodvNode:
             flow = self.flows[flow_id]
             if flow.destination != dest or flow.failed:
                 continue
-            while flow.buffered:
+            # forward_data may queue a packet again behind a new discovery;
+            # that one waits for the next route rather than being retried here.
+            for _ in range(len(flow.buffered)):
                 effects.extend(self.forward_data(flow.buffered.popleft(), now))
         return effects
 

@@ -243,8 +243,10 @@ def parse_config(text: str) -> ScenarioConfig:
         alpha = 1.0 - beta
     _require(0.0 <= alpha <= 1.0, "weights.alpha", "must lie in [0, 1]")
     _require(0.0 <= beta <= 1.0, "weights.beta", "must lie in [0, 1]")
-    _require(abs(alpha + beta - 1.0) <= 1e-9, "weights.beta", f"alpha + beta must equal 1, got {alpha + beta}")
-    weights = MetricWeights(alpha, beta)
+    try:
+        weights = MetricWeights(alpha, beta)
+    except ValueError as exc:
+        raise ConfigError(f"weights.beta: {exc}") from exc
 
     dcf_sec = section("dcf")
     try:

@@ -12,47 +12,28 @@ from dataclasses import dataclass
 
 # lookup_p_c stays importable from here: the benchmark's tracer counts lookups by this name.
 from .dcf import DcfParams, lookup_p_c  # noqa: F401
-from .geometry import Position
-
-
-@dataclass(frozen=True)
-class ChannelObservation:
-    """Idle-time observations for both ends of a link over one window."""
-
-    window: float
-    local_idle_fraction: float
-    peer_idle_fraction: float
-
-    def __post_init__(self):
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window}")
-        for name in ("local_idle_fraction", "peer_idle_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-
-@dataclass
-class LinkEstimate:
-    peer: int
-    available_bandwidth: float
-    p_c_used: float
-    last_update: float
 
 
 @dataclass
 class NeighborRecord:
     """What a node remembers about a neighbor from its last hello."""
 
-    position: Position
     residual_energy: float
     idle_fraction: float
     last_heard: float
-    seq: int
+
+
+def is_fresh(rec: NeighborRecord | None, now: float, expiry: float) -> bool:
+    """Whether a neighbor was heard within the last expiry seconds."""
+    return rec is not None and now - rec.last_heard <= expiry
 
 
 def estimate_bandwidth(
-    obs: ChannelObservation, p_c: float, b_no: float, backoff_overhead: float
+    local_idle_fraction: float,
+    peer_idle_fraction: float,
+    p_c: float,
+    b_no: float,
+    backoff_overhead: float,
 ) -> float:
     """Available bandwidth on a link, in bit/s.
 
@@ -60,6 +41,10 @@ def estimate_bandwidth(
     fractions, the collision probability, and the expected backoff
     overhead; the result always lies in [0, b_no].
     """
+    for name, v in (("local_idle_fraction", local_idle_fraction),
+                    ("peer_idle_fraction", peer_idle_fraction)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {v}")
     if not 0.0 <= p_c <= 1.0:
         raise ValueError(f"p_c must lie in [0, 1], got {p_c}")
     if not 0.0 <= backoff_overhead <= 1.0:
@@ -68,8 +53,8 @@ def estimate_bandwidth(
         raise ValueError(f"b_no must be positive, got {b_no}")
     return (
         b_no
-        * obs.local_idle_fraction
-        * obs.peer_idle_fraction
+        * local_idle_fraction
+        * peer_idle_fraction
         * (1.0 - p_c)
         * (1.0 - backoff_overhead)
     )
@@ -93,20 +78,19 @@ def refresh_estimates(
     link_cost: Callable,
     b_no: float,
     expiry: float,
-    window: float = 1.0,
-) -> dict[int, LinkEstimate]:
-    """Rebuild the per-neighbor estimates from current hello records.
+) -> dict[int, float]:
+    """Available bandwidth toward each fresh neighbor, in bit/s.
 
-    Neighbors whose last hello is older than expiry seconds are dropped
-    from the estimate set.  link_cost(peer) gives the link's collision
-    probability and backoff overhead.
+    Neighbors that are not fresh (see is_fresh) get no estimate.
+    link_cost(peer) gives the link's collision probability and backoff
+    overhead.
     """
-    estimates: dict[int, LinkEstimate] = {}
+    estimates: dict[int, float] = {}
     for peer, rec in neighbors.items():
-        if now - rec.last_heard > expiry:
+        if not is_fresh(rec, now, expiry):
             continue
         cost = link_cost(peer)
-        obs = ChannelObservation(window, local_idle_fraction, rec.idle_fraction)
-        bandwidth = estimate_bandwidth(obs, cost.p_c, b_no, cost.backoff_overhead)
-        estimates[peer] = LinkEstimate(peer, bandwidth, cost.p_c, now)
+        estimates[peer] = estimate_bandwidth(
+            local_idle_fraction, rec.idle_fraction, cost.p_c, b_no, cost.backoff_overhead
+        )
     return estimates

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .actions import Broadcast, StartTimer, Unicast
 from .geometry import GeoContext, Position, deviation_angle, is_forward_progress
-from .link_estimation import LinkEstimate, NeighborRecord, refresh_estimates
+from .link_estimation import NeighborRecord, is_fresh, refresh_estimates
 from . import geometry
 
 # Guards keeping the metric finite for collinear or co-located candidates.
@@ -153,7 +153,7 @@ class QgrpNode:
         self.env = env
         self.is_sink = node_id == env.sink_id
         self.neighbors: dict[int, NeighborRecord] = {}
-        self.estimates: dict[int, LinkEstimate] = {}
+        self.estimates: dict[int, float] = {}  # fresh neighbor -> available bit/s
         self._estimates_at = -1.0
         self.routes: dict[int, RouteEntry] = {}
         self.flows: dict[int, FlowState] = {}
@@ -183,9 +183,7 @@ class QgrpNode:
         return [Broadcast(pkt, self.env.pkt_bits["hello"]), StartTimer(gap, "hello", ())]
 
     def on_hello(self, pkt: Hello, now: float) -> list:
-        self.neighbors[pkt.sender] = NeighborRecord(
-            pkt.position, pkt.residual_energy, pkt.idle_fraction, now, pkt.seq
-        )
+        self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.idle_fraction, now)
         return []
 
     # ----- estimates and reservations -----
@@ -233,7 +231,7 @@ class QgrpNode:
             self.env.log(now, self.id, "release", flow_id, prior.peer, prior.bandwidth, "superseded")
         self.reservations[flow_id] = Reservation(peer, bandwidth, confirmed, now)
         total = self.reserved_toward(peer)
-        est = self.estimates[peer].available_bandwidth
+        est = self.estimates[peer]
         self.env.log(now, self.id, "reserve", flow_id, peer, bandwidth, est, total)
 
     def _release(self, flow_id: int, now: float, reason: str) -> None:
@@ -243,37 +241,40 @@ class QgrpNode:
 
     # ----- forwarder selection -----
 
-    def forwarder_set(self, required_bandwidth: float, now: float, exclude=()) -> set[int]:
-        """Neighbors offering forward progress and enough spare bandwidth."""
-        if self.is_sink:
-            return set()
+    def _candidates(self, now: float, exclude):
+        """Fresh neighbors, outside exclude, offering forward progress, with their estimates."""
         self.refresh(now)
         my_pos = self.env.positions[self.id]
         sink_pos = self.env.positions[self.env.sink_id]
-        out = set()
-        for peer, est in self.estimates.items():
+        for peer, bw in self.estimates.items():
             if peer == self.id or peer in exclude:
                 continue
             peer_pos = self.env.positions[peer]
             if peer_pos == my_pos:
                 continue  # degenerate neighbor, excluded rather than erroring
-            if not is_forward_progress(GeoContext(my_pos, peer_pos, sink_pos)):
-                continue
-            if self.reserved_toward(peer) + required_bandwidth <= est.available_bandwidth:
-                out.add(peer)
-        return out
+            if is_forward_progress(GeoContext(my_pos, peer_pos, sink_pos)):
+                yield peer, bw
+
+    def forwarder_set(self, required_bandwidth: float, now: float, exclude=()) -> set[int]:
+        """Neighbors offering forward progress and enough spare bandwidth."""
+        if self.is_sink:
+            return set()
+        return {
+            peer for peer, bw in self._candidates(now, exclude)
+            if self.reserved_toward(peer) + required_bandwidth <= bw
+        }
 
     def link_metric(self, candidate: int, now: float) -> float:
         """Composite score: weighted bandwidth/energy ratios over (distance * deviation)."""
         self.refresh(now)
-        est = self.estimates.get(candidate)
+        bw = self.estimates.get(candidate)
         rec = self.neighbors.get(candidate)
-        if est is None or rec is None:
+        if bw is None or rec is None:
             raise MissingEstimateError(f"no fresh link/energy data for candidate {candidate}")
         my_pos = self.env.positions[self.id]
         cand_pos = self.env.positions[candidate]
         sink_pos = self.env.positions[self.env.sink_id]
-        b_ratio = est.available_bandwidth / self.env.b_no
+        b_ratio = bw / self.env.b_no
         e_ratio = rec.residual_energy / self.env.initial_energy
         r = geometry.distance(cand_pos, sink_pos)
         theta = deviation_angle(GeoContext(my_pos, cand_pos, sink_pos))
@@ -292,20 +293,10 @@ class QgrpNode:
         """Largest requirement for which the forwarder set would be non-empty."""
         if self.is_sink:
             return 0.0
-        self.refresh(now)
-        my_pos = self.env.positions[self.id]
-        sink_pos = self.env.positions[self.env.sink_id]
         best = 0.0
-        for peer, est in self.estimates.items():
-            if peer == self.id or peer in exclude:
-                continue
-            peer_pos = self.env.positions[peer]
-            if peer_pos == my_pos:
-                continue
-            if not is_forward_progress(GeoContext(my_pos, peer_pos, sink_pos)):
-                continue
-            best = max(best, est.available_bandwidth - self.reserved_toward(peer))
-        return max(0.0, best)
+        for peer, bw in self._candidates(now, exclude):
+            best = max(best, bw - self.reserved_toward(peer))
+        return best
 
     # ----- route establishment -----
 
@@ -319,7 +310,7 @@ class QgrpNode:
         if nxt is None:
             cap = self._max_grantable(now, exclude=(self.id,))
             return self._apply_admission_rejection(flow, cap, now)
-        est = self.estimates[nxt].available_bandwidth
+        est = self.estimates[nxt]
         self._reserve(flow.flow_id, nxt, flow.required_bandwidth, now, confirmed=False)
         entry = self.routes.get(self.env.sink_id)
         known = entry.dest_seq if entry is not None and entry.valid else 0
@@ -372,7 +363,7 @@ class QgrpNode:
             and entry.valid
             and entry.next_hop in self.estimates
             and self.reserved_toward(entry.next_hop) + pkt.required_bandwidth
-            <= self.estimates[entry.next_hop].available_bandwidth
+            <= self.estimates[entry.next_hop]
         ):
             # Answer from the cached route; its own first link must still
             # carry this flow, so the bandwidth check above is required for
@@ -393,7 +384,7 @@ class QgrpNode:
         exclude.add(self.id)
         nxt = self.select_next_hop(pkt.required_bandwidth, now, exclude=exclude)
         if nxt is not None:
-            est = self.estimates[nxt].available_bandwidth
+            est = self.estimates[nxt]
             self._reserve(pkt.flow_id, nxt, pkt.required_bandwidth, now, confirmed=False)
             self.env.log(now, self.id, "rreq_link", pkt.flow_id, pkt.retry_index, nxt, est)
             fwd = replace(
@@ -528,8 +519,8 @@ class QgrpNode:
     def forward_data(self, pkt: Data, now: float) -> list:
         entry = self.routes.get(self.env.sink_id)
         if entry is not None and entry.valid:
-            self.refresh(now)
-            if entry.next_hop not in self.estimates:
+            self._purge_reservations(now)
+            if not is_fresh(self.neighbors.get(entry.next_hop), now, self.env.hello_expiry):
                 entry.valid = False
                 self.env.log(now, self.id, "route_invalidate", entry.destination, entry.next_hop)
         if entry is None or not entry.valid:

@@ -228,17 +228,22 @@ class Engine:
         nodes = self.topology.nodes
         tx = self.topology.tx_range
         cs = self.cfg.dcf.params.carrier_sense_radius
-        for node in nodes:
-            neigh = []
-            cs_nodes = []
-            for other in nodes:
+        neigh = [[] for _ in nodes]
+        cs_nodes = [[node] for node in nodes]  # a node always senses itself
+        # distance() is symmetric to the last bit, so each pair is measured once.
+        for i, node in enumerate(nodes):
+            for j in range(i + 1, len(nodes)):
+                other = nodes[j]
                 d = distance(node.position, other.position)
                 if d <= cs:
-                    cs_nodes.append(other)
-                if other.id != node.id and d <= tx:
-                    neigh.append(other.id)
-            node.neighbor_ids = tuple(sorted(neigh))
-            node.cs_nodes = tuple(sorted(cs_nodes, key=lambda n: n.id))
+                    cs_nodes[i].append(other)
+                    cs_nodes[j].append(node)
+                if d <= tx:
+                    neigh[i].append(other.id)
+                    neigh[j].append(node.id)
+        for node, ids, sensed in zip(nodes, neigh, cs_nodes):
+            node.neighbor_ids = tuple(sorted(ids))
+            node.cs_nodes = tuple(sorted(sensed, key=lambda n: n.id))
 
     def _assign_sources(self, flows) -> list[Flow]:
         candidates = sorted(i for i in self.nodes if i != self.topology.sink_id)

@@ -1,7 +1,14 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+import qgrpsim
 from qgrpsim.actions import Broadcast, Unicast
 from qgrpsim.aodv import AodvNode, AodvRrep, AodvRreq
 from qgrpsim.config import parse_config
@@ -98,6 +105,41 @@ def test_broken_next_hop_invalidates_and_rediscovers():
     assert not node.routes[2].valid
     assert any(r[2] == "route_invalidate" for r in env.rows)
     assert any(r[2] == "drop" and r[5] == "no_route" for r in env.rows)
+
+
+# Node 21 dies at t=1.18 s; node 6 then gets a route reply toward sink 10 through it.
+DEAD_RELAY_SCENARIO = (
+    "[topology]\nn = 40\nfield_width = 600.0\nfield_height = 600.0\nseed = 7\n"
+    "[protocol]\nname = aodv\n"
+    "[energy]\ninitial_j = 0.2\n"
+    "[sim]\nduration_s = 4.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+    "[flow:1]\nrate_bps = 200000.0\nstart_s = 1.0\n"
+    "[flow:2]\nrate_bps = 150000.0\nstart_s = 1.0\n"
+)
+
+
+def test_flush_ends_when_route_runs_through_dead_node():
+    """Flushing the buffer over a route through a dead node invalidates it and returns.
+
+    The run goes in a child process with a timeout and a memory cap, so that
+    an endless flush fails this test instead of hanging the suite.
+    """
+    code = textwrap.dedent(f"""
+        import json
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from qgrpsim.config import parse_config
+        from qgrpsim.simulator import Engine
+        engine = Engine(parse_config({DEAD_RELAY_SCENARIO!r})).run()
+        print(json.dumps([row[1:] for row in engine.event_log if row[2] == "route_invalidate"]))
+    """)
+    src = str(Path(qgrpsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [6, "route_invalidate", 10, 21] in json.loads(proc.stdout)
 
 
 def bfs_distance(positions, tx_range, src, dst):

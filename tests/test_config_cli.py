@@ -28,8 +28,10 @@ def test_beta_autofills_alpha():
 
 
 def test_weight_sum_violation_carries_key_path():
-    with pytest.raises(ConfigError, match="weights.beta"):
-        parse_config("[weights]\nalpha = 0.7\nbeta = 0.5\n")
+    # The second sum is off by 1e-10: too far for MetricWeights, so still a config error.
+    for beta in ("0.5", "0.3000000001"):
+        with pytest.raises(ConfigError, match="weights.beta"):
+            parse_config(f"[weights]\nalpha = 0.7\nbeta = {beta}\n")
 
 
 def test_unknown_key_rejected():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
 from qgrpsim.geometry import Position, distance
 from qgrpsim.link_estimation import (
-    ChannelObservation,
     NeighborRecord,
     estimate_bandwidth,
     mean_backoff_slots,
@@ -23,27 +22,23 @@ def cost_at(p_c, dist=100.0):
     return build_link_cost(p_c, dist, DEFAULTS, 50e-9, 100e-12)
 
 
-def reference_links(neighbors):
+def reference_links(positions):
     """link_cost(peer) over the reference grid at density 100, from the origin."""
     table = reference_table()
 
     def link_cost(peer):
-        dist = distance(Position(0, 0), neighbors[peer].position)
+        dist = distance(Position(0, 0), positions[peer])
         return cost_at(lookup_p_c(table, 100.0, dist), dist)
 
     return link_cost
 
 
-def obs(local=1.0, peer=1.0):
-    return ChannelObservation(1.0, local, peer)
-
-
 def test_fully_idle_link_reaches_nominal_capacity():
-    assert estimate_bandwidth(obs(), 0.0, B_NO, 0.0) == B_NO
+    assert estimate_bandwidth(1.0, 1.0, 0.0, B_NO, 0.0) == B_NO
 
 
 def test_saturated_sender_estimates_zero():
-    assert estimate_bandwidth(obs(local=0.0), 0.0, B_NO, 0.0) == 0.0
+    assert estimate_bandwidth(0.0, 1.0, 0.0, B_NO, 0.0) == 0.0
 
 
 def test_estimate_derived_product():
@@ -51,31 +46,32 @@ def test_estimate_derived_product():
     # from the reference grid cell (density 100, 150 m).
     p_c = reference_table().p_c_grid[1][1]
     assert p_c == 0.2727
-    got = estimate_bandwidth(obs(0.8, 0.9), p_c, B_NO, 0.05)
+    got = estimate_bandwidth(0.8, 0.9, p_c, B_NO, 0.05)
     assert got == pytest.approx(2e6 * 0.8 * 0.9 * 0.7273 * 0.95, rel=1e-12)
 
 
 def test_estimate_validates_inputs():
-    with pytest.raises(ValueError):
-        estimate_bandwidth(obs(), -0.1, B_NO, 0.0)
-    with pytest.raises(ValueError):
-        estimate_bandwidth(obs(), 0.0, B_NO, 1.5)
-    with pytest.raises(ValueError):
-        estimate_bandwidth(obs(), 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        ChannelObservation(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        ChannelObservation(1.0, 1.2, 1.0)
+    for local, peer, p_c, b_no, overhead in [
+        (1.0, 1.0, -0.1, B_NO, 0.0),
+        (1.0, 1.0, 0.0, B_NO, 1.5),
+        (1.0, 1.0, 0.0, 0.0, 0.0),
+        (1.2, 1.0, 0.0, B_NO, 0.0),
+        (-0.1, 1.0, 0.0, B_NO, 0.0),
+        (1.0, 1.2, 0.0, B_NO, 0.0),
+        (1.0, -0.1, 0.0, B_NO, 0.0),
+    ]:
+        with pytest.raises(ValueError):
+            estimate_bandwidth(local, peer, p_c, b_no, overhead)
 
 
 @settings(max_examples=200)
 @given(fraction, fraction, fraction, fraction)
 def test_estimate_monotonicities_and_bounds(idle, p1, p2, o1):
     lo_p, hi_p = sorted((p1, p2))
-    base = estimate_bandwidth(obs(peer=idle), lo_p, B_NO, o1)
+    base = estimate_bandwidth(1.0, idle, lo_p, B_NO, o1)
     assert 0.0 <= base <= B_NO
-    assert estimate_bandwidth(obs(peer=idle), hi_p, B_NO, o1) <= base
-    assert estimate_bandwidth(obs(local=0.5, peer=idle), lo_p, B_NO, o1) <= base
+    assert estimate_bandwidth(1.0, idle, hi_p, B_NO, o1) <= base
+    assert estimate_bandwidth(0.5, idle, lo_p, B_NO, o1) <= base
 
 
 def test_backoff_slots_without_retries():
@@ -112,35 +108,37 @@ def test_refresh_no_neighbors():
 
 
 def test_refresh_uses_grid_value_at_grid_distance():
-    neighbors = {7: NeighborRecord(Position(150.0, 0.0), 40.0, 1.0, 4.9, 3)}
-    got = refresh_estimates(5.0, 1.0, neighbors, reference_links(neighbors), B_NO, 3.0)
-    assert got[7].p_c_used == 0.2727
-    assert got[7].last_update == 5.0
+    neighbors = {7: NeighborRecord(40.0, 1.0, 4.9)}
+    links = reference_links({7: Position(150.0, 0.0)})
+    got = refresh_estimates(5.0, 1.0, neighbors, links, B_NO, 3.0)
+    assert got == {7: estimate_bandwidth(1.0, 1.0, 0.2727, B_NO, links(7).backoff_overhead)}
 
 
 def test_refresh_drops_stale_records():
     neighbors = {
-        1: NeighborRecord(Position(100.0, 0.0), 40.0, 1.0, 4.5, 9),
-        2: NeighborRecord(Position(120.0, 0.0), 40.0, 1.0, 1.0, 2),
+        1: NeighborRecord(40.0, 1.0, 4.5),
+        2: NeighborRecord(40.0, 1.0, 1.0),
     }
-    got = refresh_estimates(5.0, 1.0, neighbors, reference_links(neighbors), B_NO, 3.0)
+    positions = {1: Position(100.0, 0.0), 2: Position(120.0, 0.0)}
+    got = refresh_estimates(5.0, 1.0, neighbors, reference_links(positions), B_NO, 3.0)
     assert set(got) == {1}
 
 
 def test_refresh_matches_per_link_recomputation():
     table = reference_table()
     neighbors = {
-        1: NeighborRecord(Position(110.0, 0.0), 40.0, 0.9, 4.0, 1),
-        2: NeighborRecord(Position(0.0, 180.0), 30.0, 0.7, 4.5, 1),
-        3: NeighborRecord(Position(160.0, 120.0), 20.0, 1.0, 5.0, 1),
+        1: NeighborRecord(40.0, 0.9, 4.0),
+        2: NeighborRecord(30.0, 0.7, 4.5),
+        3: NeighborRecord(20.0, 1.0, 5.0),
     }
-    got = refresh_estimates(5.0, 0.8, neighbors, reference_links(neighbors), B_NO, 3.0)
+    positions = {1: Position(110.0, 0.0), 2: Position(0.0, 180.0), 3: Position(160.0, 120.0)}
+    got = refresh_estimates(5.0, 0.8, neighbors, reference_links(positions), B_NO, 3.0)
     assert set(got) == {1, 2, 3}
     for peer, rec in neighbors.items():
-        dist = (rec.position.x**2 + rec.position.y**2) ** 0.5
+        pos = positions[peer]
+        dist = (pos.x**2 + pos.y**2) ** 0.5
         p_c = lookup_p_c(table, 100.0, dist)
         backoff_s = mean_backoff_slots(p_c, DEFAULTS) * DEFAULTS.virtual_slot
         overhead = backoff_s / (DEFAULTS.payload_duration + backoff_s)
         expected = B_NO * 0.8 * rec.idle_fraction * (1.0 - p_c) * (1.0 - overhead)
-        assert got[peer].available_bandwidth == pytest.approx(expected, rel=1e-12)
-        assert got[peer].p_c_used == p_c
+        assert got[peer] == pytest.approx(expected, rel=1e-12)

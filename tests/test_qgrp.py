@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qgrpsim.actions import StartTimer, Unicast
 from qgrpsim.dcf import DcfParams
 from qgrpsim.geometry import GeoContext, Position, distance, is_forward_progress
-from qgrpsim.link_estimation import LinkEstimate, NeighborRecord
+from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.qgrp import (
     AdmissionNotify,
     Data,
@@ -18,6 +18,7 @@ from qgrpsim.qgrp import (
     NodeEnergy,
     QgrpNode,
     Rrep,
+    RouteEntry,
     Rreq,
     is_fresher,
 )
@@ -86,13 +87,11 @@ def expected_estimate(peer_idle, local_idle=1.0):
 
 def pin_estimates(node, now, estimates, energies=None):
     """Inject link estimates directly, bypassing the hello pipeline."""
-    node.estimates = {
-        peer: LinkEstimate(peer, bw, 0.0, now) for peer, bw in estimates.items()
-    }
+    node.estimates = dict(estimates)
     node._estimates_at = now
     for peer in estimates:
         energy = (energies or {}).get(peer, 40.0)
-        node.neighbors[peer] = NeighborRecord(node.env.positions[peer], energy, 1.0, now, 1)
+        node.neighbors[peer] = NeighborRecord(energy, 1.0, now)
 
 
 # ----- forwarder set -----
@@ -517,15 +516,29 @@ def test_forward_data_without_route_drops_and_requests():
     env, node, _ = source_with_flow("retry")
     node.handle_rrep(Rrep(55, 0, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
     assert node.flows[55].admitted
-    # The next hop's hellos go stale: estimates refresh drops it.
-    node.estimates = {}
-    node._estimates_at = 5.0
-    out = node.forward_data(Data(55, 2000, 5.0, 9), 5.0)
+    # Next hop 1 was last heard at 2.0; let its hello age past the expiry.
+    now = 2.0 + env.hello_expiry + 0.5
+    out = node.forward_data(Data(55, 2000, now, 9), now)
     assert any(r[2] == "drop" and r[5] == "no_route" for r in env.rows)
     assert not node.flows[55].admitted
     # A fresh establishment episode starts if any candidate remains; with no
     # neighbors the local rejection path schedules a retry.
     assert any(isinstance(e, StartTimer) for e in out)
+
+
+@pytest.mark.parametrize("past_expiry, fresh", [(0.0, True), (1e-9, False)])
+def test_hello_freshness_boundary(past_expiry, fresh):
+    """A hello exactly hello_expiry old is fresh for estimates and data alike; older is stale."""
+    env = line_env()
+    node = QgrpNode(0, env)
+    hello_into(node, 1, env.positions[1], 2.0)
+    node.routes[3] = RouteEntry(3, 1, 1, 1.0e6)
+    now = 2.0 + env.hello_expiry + past_expiry
+    out = node.forward_data(Data(55, 2000, now, 0), now)
+    assert [e.to for e in out] == ([1] if fresh else [])
+    assert node.routes[3].valid is fresh
+    node.refresh(now)
+    assert (1 in node.estimates) is fresh
 
 
 def test_sink_logs_delivery():

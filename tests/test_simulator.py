@@ -5,6 +5,7 @@ import pytest
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import DcfParams
+from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.qgrp import Data
 from qgrpsim.simulator import (
@@ -39,6 +40,19 @@ def test_topology_deterministic():
     assert [(n.position.x, n.position.y) for n in a.nodes] == [
         (n.position.x, n.position.y) for n in b.nodes
     ]
+
+
+def test_adjacency_matches_per_node_scan():
+    cfg = parse_config("[topology]\nn = 60\nseed = 4\n")
+    engine = Engine(cfg, table=constant_table(0.0))
+    nodes = engine.topology.nodes
+    cs = cfg.dcf.params.carrier_sense_radius
+    for node in nodes:
+        dist = {o.id: distance(node.position, o.position) for o in nodes}
+        assert node.neighbor_ids == tuple(
+            i for i in sorted(dist) if i != node.id and dist[i] <= cfg.topology.tx_range
+        )
+        assert [o.id for o in node.cs_nodes] == [i for i in sorted(dist) if dist[i] <= cs]
 
 
 def test_topology_positions_inside_field():
