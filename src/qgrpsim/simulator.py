@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .actions import Broadcast, StartTimer, Unicast
-from .aodv import AodvNode
+from .aodv import AodvNode, AodvRrep, AodvRreq
 from .dcf import CollisionTable, DcfParams, build_table, lookup_p_c
 from .geometry import Position, distance
 from .link_estimation import mean_backoff_slots
-from .qgrp import Data, NodeEnergy, QgrpNode
+from .qgrp import AdmissionNotify, Data, Hello, NodeEnergy, QgrpNode, Rrep, Rreq
 
 # Event kinds, dispatched in (time, sequence) order.
 _ARRIVAL = 0
@@ -26,6 +27,10 @@ _TIMER = 1
 _EMIT = 2
 _FLOW_START = 3
 _TX_DONE = 4
+
+# Packet kind written to the log for each packet class.
+_PKT_KINDS = {cls: cls.__name__.lower()
+              for cls in (Hello, Rreq, Rrep, AdmissionNotify, Data, AodvRreq, AodvRrep)}
 
 
 @dataclass
@@ -41,7 +46,7 @@ class SensorNode:
     next_free: float = 0.0
     busy: dict = field(default_factory=dict)
     neighbor_ids: tuple[int, ...] = ()
-    cs_nodes: tuple = ()
+    cs_ids: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,12 @@ class Engine:
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
         self._broadcast_cost = self._cost_at(self.topology.tx_range)
+        # Per sender, the p_c of each link in neighbor_ids order; filled on its first broadcast.
+        self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
+        # Carrier-sense airtime not yet added to node.busy: bucket -> [(cs_ids, seg), ...]
+        # in charge order.  Buckets up to _settled_through are final.
+        self._unsettled: defaultdict[int, list] = defaultdict(list)
+        self._settled_through = -1
         self._precompute_adjacency()
         self.env = _ProtocolEnv(self)
         node_cls = QgrpNode if self.protocol == "qgrp" else AodvNode
@@ -229,21 +240,21 @@ class Engine:
         tx = self.topology.tx_range
         cs = self.cfg.dcf.params.carrier_sense_radius
         neigh = [[] for _ in nodes]
-        cs_nodes = [[node] for node in nodes]  # a node always senses itself
+        cs_ids = [[node.id] for node in nodes]  # a node always senses itself
         # distance() is symmetric to the last bit, so each pair is measured once.
         for i, node in enumerate(nodes):
             for j in range(i + 1, len(nodes)):
                 other = nodes[j]
                 d = distance(node.position, other.position)
                 if d <= cs:
-                    cs_nodes[i].append(other)
-                    cs_nodes[j].append(node)
+                    cs_ids[i].append(other.id)
+                    cs_ids[j].append(node.id)
                 if d <= tx:
                     neigh[i].append(other.id)
                     neigh[j].append(node.id)
-        for node, ids, sensed in zip(nodes, neigh, cs_nodes):
+        for node, ids, sensed in zip(nodes, neigh, cs_ids):
             node.neighbor_ids = tuple(sorted(ids))
-            node.cs_nodes = tuple(sorted(sensed, key=lambda n: n.id))
+            node.cs_ids = tuple(sorted(sensed))
 
     def _assign_sources(self, flows) -> list[Flow]:
         candidates = sorted(i for i in self.nodes if i != self.topology.sink_id)
@@ -270,9 +281,34 @@ class Engine:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
 
     def idle_fraction(self, node_id: int, now: float) -> float:
+        """Idle share of node_id's last complete idle window before now."""
         window = self.cfg.hello.idle_window
-        busy = self.nodes[node_id].busy.get(int(now / window) - 1, 0.0)
+        bucket = int(now / window) - 1
+        if bucket > self._settled_through:
+            self._settle_busy(bucket)
+        busy = self.nodes[node_id].busy.get(bucket, 0.0)
         return max(0.0, 1.0 - busy / window)
+
+    def _settle_busy(self, last: int):
+        """Add the recorded airtime of every unsettled bucket up to `last` into node.busy.
+
+        Each node sums its segments in charge order, starting from 0.0, so its
+        totals are bit-identical to charging every node at transmission time.
+        Node ids index topology.nodes.
+        """
+        nodes = self.topology.nodes
+        for bucket in range(self._settled_through + 1, last + 1):
+            charges = self._unsettled.pop(bucket, None)
+            if charges is None:
+                continue
+            acc = [0.0] * len(nodes)
+            for cs_ids, seg in charges:
+                for i in cs_ids:
+                    acc[i] += seg
+            for node, total in zip(nodes, acc):
+                if total:
+                    node.busy[bucket] = total
+        self._settled_through = last
 
     def _cost_at(self, dist: float) -> LinkCost:
         energy = self.cfg.energy
@@ -304,29 +340,29 @@ class Engine:
         return consumed, False
 
     def _charge_busy(self, sender: SensorNode, start: float, duration: float):
-        """Spread airtime over the 1-second accounting buckets of every node in carrier sense."""
+        """Record airtime, split at idle-window edges, against every node in carrier sense.
+
+        The buckets are added into node.busy only when idle_fraction reads them.
+        """
         window = self.cfg.hello.idle_window
-        segments = []
         t = start
         remaining = duration
+        if int(t / window) <= self._settled_through:
+            raise RuntimeError(f"airtime at {start!r} charged to an idle window already read")
+        unsettled = self._unsettled
+        cs_ids = sender.cs_ids
         while remaining > 0.0:
             bucket = int(t / window)
             ceiling = (bucket + 1) * window
             seg = min(remaining, ceiling - t)
-            segments.append((bucket, seg))
+            unsettled[bucket].append((cs_ids, seg))
             t += seg
             remaining -= seg
-        for other in sender.cs_nodes:
-            busy = other.busy
-            for bucket, seg in segments:
-                busy[bucket] = busy.get(bucket, 0.0) + seg
 
     # ----- channel -----
 
     def _pkt_kind(self, pkt) -> str:
-        if isinstance(pkt, Data):
-            return "data"
-        return type(pkt).__name__.lower()
+        return _PKT_KINDS[type(pkt)]
 
     def _transmit_unicast(self, sender: SensorNode, to_id: int, pkt, bits: int, now: float):
         if not sender.alive:
@@ -384,8 +420,16 @@ class Engine:
         self.log_row(now, sender.id, "tx", self._pkt_kind(pkt), bits, -1, 1, spent, unit, -1, -1)
         if died:
             self.log_row(now, sender.id, "death")
-        for nb_id in sender.neighbor_ids:
-            if self.rng.random() >= self.link_cost(sender.id, nb_id).p_c:
+        p_cs = self._broadcast_p_c.get(sender.id)
+        if p_cs is None:
+            p_cs = self._broadcast_p_c[sender.id] = tuple(
+                lookup_p_c(self.table, self.density,
+                           distance(sender.position, self.nodes[nb_id].position))
+                for nb_id in sender.neighbor_ids
+            )
+        draw = self.rng.random
+        for nb_id, p_c in zip(sender.neighbor_ids, p_cs):
+            if draw() >= p_c:
                 self._schedule(end, _ARRIVAL, nb_id, sender.id, pkt, bits)
 
     # ----- event handlers -----
@@ -414,7 +458,9 @@ class Engine:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
             return
-        self._apply(node, node.protocol.on_packet(pkt, from_id, now), now)
+        effects = node.protocol.on_packet(pkt, from_id, now)
+        if effects:
+            self._apply(node, effects, now)
 
     def _on_emit(self, flow_index: int, seq: int, now: float):
         flow = self.flows[flow_index]
@@ -497,7 +543,7 @@ def run_scenario(cfg, seed: int | None = None, protocol: str | None = None,
 
 def format_log(event_log: list[tuple]) -> str:
     """Render the event log as newline-delimited comma-joined records."""
-    return "\n".join(",".join(repr(v) for v in row) for row in event_log) + "\n"
+    return "\n".join([",".join(map(repr, row)) for row in event_log]) + "\n"
 
 
 def parse_log(text: str) -> list[tuple]:

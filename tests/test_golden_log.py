@@ -1,4 +1,4 @@
-"""Pinned event logs of two small runs.
+"""Pinned event logs of three small runs.
 
 Any change to the simulated behaviour, or to the float arithmetic behind
 it, changes these digests.  A change that means to alter the logs
@@ -14,12 +14,13 @@ from qgrpsim.dcf import reference_table
 from qgrpsim.simulator import Engine, format_log
 
 
-def small_cfg(protocol):
+def small_cfg(protocol, extra=""):
     # Small batteries, so that nodes die mid-run and the death paths are pinned too.
     return parse_config(
         "[topology]\nn = 40\nseed = 7\n"
         f"[protocol]\nname = {protocol}\n"
         "[energy]\ninitial_j = 0.3\n"
+        f"{extra}"
         "[sim]\nduration_s = 8.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
         "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"
         "[flow:2]\nrate_bps = 80000.0\nstart_s = 1.5\n"
@@ -33,6 +34,16 @@ def small_cfg(protocol):
     ("aodv", None, "26a368296d9af0227f32a308689ad738b6b04dac0231f15b89469ada24fa762e"),
 ])
 def test_event_log_digest_is_pinned(protocol, table, digest):
-    engine = Engine(small_cfg(protocol), table=table).run()
-    text = format_log(engine.event_log)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert log_digest(small_cfg(protocol), table) == digest
+
+
+def test_short_idle_window_digest_is_pinned():
+    # Quarter-second idle windows: many more transmissions straddle a bucket edge.
+    cfg = small_cfg("qgrp", "[hello]\nidle_window_s = 0.25\n")
+    assert log_digest(cfg, reference_table()) == (
+        "576f592798c33d44d80ac298b27e84673a981b1385321c1349fce4862aec8c53")
+
+
+def log_digest(cfg, table):
+    engine = Engine(cfg, table=table).run()
+    return hashlib.sha256(format_log(engine.event_log).encode()).hexdigest()

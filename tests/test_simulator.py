@@ -1,10 +1,11 @@
+import random
 import statistics
 
 import pytest
 
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import DcfParams
+from qgrpsim.dcf import DcfParams, reference_table
 from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.qgrp import Data
@@ -52,7 +53,7 @@ def test_adjacency_matches_per_node_scan():
         assert node.neighbor_ids == tuple(
             i for i in sorted(dist) if i != node.id and dist[i] <= cfg.topology.tx_range
         )
-        assert [o.id for o in node.cs_nodes] == [i for i in sorted(dist) if dist[i] <= cs]
+        assert node.cs_ids == tuple(i for i in sorted(dist) if dist[i] <= cs)
 
 
 def test_topology_positions_inside_field():
@@ -102,6 +103,74 @@ def test_event_before_its_cause_raises():
     engine._schedule(-1.0, simulator._TX_DONE, 0)
     with pytest.raises(RuntimeError, match="before its cause"):
         engine.run()
+
+
+def eager_charge(busy, window, sender, start, duration):
+    """Reference: add airtime to every carrier-sense node's buckets at transmission time."""
+    segments = []
+    t = start
+    remaining = duration
+    while remaining > 0.0:
+        bucket = int(t / window)
+        ceiling = (bucket + 1) * window
+        seg = min(remaining, ceiling - t)
+        segments.append((bucket, seg))
+        t += seg
+        remaining -= seg
+    for other_id in sender.cs_ids:
+        other = busy[other_id]
+        for bucket, seg in segments:
+            other[bucket] = other.get(bucket, 0.0) + seg
+
+
+def test_settled_busy_time_equals_eager_charging():
+    cfg = parse_config("[topology]\nn = 30\nseed = 5\n[hello]\nidle_window_s = 0.25\n")
+    window = cfg.hello.idle_window
+    engine = Engine(cfg, table=constant_table(0.0))
+    nodes = engine.topology.nodes
+    ref = {node.id: {} for node in nodes}
+    rng = random.Random(3)
+    now = 0.0
+    straddles = 0
+    for k in range(600):
+        now += rng.uniform(0.0, 0.01)
+        sender = rng.choice(nodes)
+        start = now + rng.uniform(0.0, 0.05)
+        duration = 3.3 * window if k == 300 else rng.uniform(1e-4, 0.1)
+        straddles += int(start / window) != int((start + duration) / window)
+        engine._charge_busy(sender, start, duration)
+        eager_charge(ref, window, sender, start, duration)
+        if k % 23 == 0:  # a hello-time read settles every bucket before now's
+            node_id = rng.choice(nodes).id
+            busy = ref[node_id].get(int(now / window) - 1, 0.0)
+            assert engine.idle_fraction(node_id, now) == max(0.0, 1.0 - busy / window)
+    assert straddles > 100
+    engine.idle_fraction(0, now + 10.0)
+    assert {node.id: node.busy for node in nodes} == ref
+
+
+def test_charge_to_a_settled_bucket_raises():
+    cfg = parse_config("[topology]\nn = 5\nseed = 2\n[hello]\nidle_window_s = 0.25\n")
+    engine = Engine(cfg, table=constant_table(0.0))
+    sender = engine.topology.nodes[0]
+    engine._charge_busy(sender, 0.9, 0.2)
+    assert engine.idle_fraction(sender.id, 1.0) == pytest.approx(0.6)  # settles bucket 3
+    with pytest.raises(RuntimeError, match="already read"):
+        engine._charge_busy(sender, 0.99, 0.005)
+    engine._charge_busy(sender, 1.0, 0.01)  # bucket 4 is still open
+
+
+def test_broadcast_p_c_matches_link_costs():
+    cfg = parse_config(
+        "[topology]\nn = 40\nseed = 7\n"
+        "[sim]\nduration_s = 1.5\nwarm_up_s = 0.0\nrepetitions = 1\n"
+    )
+    engine = Engine(cfg, table=reference_table()).run()
+    assert set(engine._broadcast_p_c) == set(engine.nodes)  # every node sent a hello
+    for u, p_cs in engine._broadcast_p_c.items():
+        assert p_cs == tuple(engine.link_cost(u, v).p_c for v in engine.nodes[u].neighbor_ids)
+    # The reference grid's p_c rises with distance, so the draws differ per link.
+    assert len({p_c for p_cs in engine._broadcast_p_c.values() for p_c in p_cs}) > 1
 
 
 def test_unicast_loss_rate_matches_configured_p_c():
