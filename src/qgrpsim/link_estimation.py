@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .dcf import DcfParams, lookup_p_c  # noqa: F401
 
 
-@dataclass
+@dataclass(slots=True)
 class NeighborRecord:
     """What a node remembers about a neighbor from its last hello."""
 

@@ -183,7 +183,13 @@ class QgrpNode:
         return [Broadcast(pkt, self.env.pkt_bits["hello"]), StartTimer(gap, "hello", ())]
 
     def on_hello(self, pkt: Hello, now: float) -> list:
-        self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.idle_fraction, now)
+        rec = self.neighbors.get(pkt.sender)
+        if rec is None:
+            self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.idle_fraction, now)
+        else:
+            rec.residual_energy = pkt.residual_energy
+            rec.idle_fraction = pkt.idle_fraction
+            rec.last_heard = now
         return []
 
     # ----- estimates and reservations -----

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -21,7 +22,8 @@ from .geometry import Position, distance
 from .link_estimation import mean_backoff_slots
 from .qgrp import AdmissionNotify, Data, Hello, NodeEnergy, QgrpNode, Rrep, Rreq
 
-# Event kinds, dispatched in (time, sequence) order.
+# Event kinds.  An event is the flat record (time, sequence, kind, *payload),
+# dispatched in (time, sequence) order.
 _ARRIVAL = 0
 _TIMER = 1
 _EMIT = 2
@@ -219,8 +221,11 @@ class Engine:
         self._seq = 0
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
-        self._broadcast_cost = self._cost_at(self.topology.tx_range)
-        # Per sender, the p_c of each link in neighbor_ids order; filled on its first broadcast.
+        tx_range = self.topology.tx_range
+        self._broadcast_cost = self._cost_at(lookup_p_c(self.table, self.density, tx_range),
+                                            tx_range)
+        # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
+        # first broadcast or first link_cost, so each link's p_c is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
         # Carrier-sense airtime not yet added to node.busy: bucket -> [(cs_ids, seg), ...]
         # in charge order.  Buckets up to _settled_through are final.
@@ -278,7 +283,7 @@ class Engine:
 
     def _schedule(self, time, kind, *payload):
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
+        heapq.heappush(self._heap, (time, self._seq, kind, *payload))
 
     def idle_fraction(self, node_id: int, now: float) -> float:
         """Idle share of node_id's last complete idle window before now."""
@@ -310,34 +315,53 @@ class Engine:
                     node.busy[bucket] = total
         self._settled_through = last
 
-    def _cost_at(self, dist: float) -> LinkCost:
+    def _cost_at(self, p_c: float, dist: float) -> LinkCost:
         energy = self.cfg.energy
-        p_c = lookup_p_c(self.table, self.density, dist)
         return build_link_cost(p_c, dist, self.cfg.dcf.params, energy.e_elec, energy.e_amp)
+
+    def _neighbor_p_c(self, sender: SensorNode) -> tuple[float, ...]:
+        """The p_c of each link from sender, in neighbor_ids order, looked up once."""
+        p_cs = self._broadcast_p_c.get(sender.id)
+        if p_cs is None:
+            nodes = self.nodes
+            p_cs = self._broadcast_p_c[sender.id] = tuple(
+                lookup_p_c(self.table, self.density,
+                           distance(sender.position, nodes[nb_id].position))
+                for nb_id in sender.neighbor_ids
+            )
+        return p_cs
 
     def link_cost(self, u: int, v: int) -> LinkCost:
         """Cost of the link from u to v, cached per directed pair."""
         cost = self._link_cache.get((u, v))
         if cost is None:
-            d = distance(self.nodes[u].position, self.nodes[v].position)
-            cost = self._link_cache[u, v] = self._cost_at(d)
+            sender = self.nodes[u]
+            d = distance(sender.position, self.nodes[v].position)
+            ids = sender.neighbor_ids
+            i = bisect_left(ids, v)
+            if i < len(ids) and ids[i] == v:
+                p_c = self._neighbor_p_c(sender)[i]
+            else:
+                p_c = lookup_p_c(self.table, self.density, d)
+            cost = self._link_cache[u, v] = self._cost_at(p_c, d)
         return cost
 
-    def _debit(self, node: SensorNode, amount: float) -> tuple[float, bool]:
-        """Consume energy, clamped at zero.  Returns (consumed, died_just_now).
+    def _debit(self, node: SensorNode, amount: float) -> float:
+        """Consume up to amount of a live node's energy and return what was consumed.
 
-        The caller logs the death row after the event that caused it, so the
-        causing tx/rx record precedes the death record.
+        A node whose residual reaches zero dies: callers read `not node.alive`
+        afterwards and log the death row after the row of the event that
+        caused it.
         """
-        if not node.alive:
-            return 0.0, False
-        consumed = min(amount, node.energy.residual)
-        node.energy.residual -= consumed
-        if node.energy.residual <= 0.0:
-            node.energy.residual = 0.0
+        energy = node.energy
+        residual = energy.residual
+        consumed = amount if amount < residual else residual
+        residual -= consumed
+        if residual <= 0.0:
+            residual = 0.0
             node.alive = False
-            return consumed, True
-        return consumed, False
+        energy.residual = residual
+        return consumed
 
     def _charge_busy(self, sender: SensorNode, start: float, duration: float):
         """Record airtime, split at idle-window edges, against every node in carrier sense.
@@ -361,9 +385,6 @@ class Engine:
 
     # ----- channel -----
 
-    def _pkt_kind(self, pkt) -> str:
-        return _PKT_KINDS[type(pkt)]
-
     def _transmit_unicast(self, sender: SensorNode, to_id: int, pkt, bits: int, now: float):
         if not sender.alive:
             return
@@ -378,11 +399,9 @@ class Engine:
         attempts = 0
         delivered = False
         spent = 0.0
-        died = False
         while attempts < max_attempts and sender.alive:
             attempts += 1
-            consumed, died = self._debit(sender, cost.tx_j_per_bit * bits)
-            spent += consumed
+            spent += self._debit(sender, cost.tx_j_per_bit * bits)
             if self.rng.random() >= cost.p_c:
                 delivered = True
                 break
@@ -393,10 +412,10 @@ class Engine:
         self._schedule(end, _TX_DONE, sender.id)
         flow_id, seq = (pkt.flow_id, pkt.sequence) if isinstance(pkt, Data) else (-1, -1)
         self.log_row(
-            now, sender.id, "tx", self._pkt_kind(pkt), bits, to_id, attempts, spent,
+            now, sender.id, "tx", _PKT_KINDS[type(pkt)], bits, to_id, attempts, spent,
             attempts * unit, flow_id, seq,
         )
-        if died:
+        if not sender.alive:
             self.log_row(now, sender.id, "death")
         if delivered:
             self._schedule(end, _ARRIVAL, to_id, sender.id, pkt, bits)
@@ -412,25 +431,24 @@ class Engine:
         unit = bits / self.cfg.mac.b_no + cost.contention_s
         start = max(now, sender.next_free)
         end = start + unit
-        spent, died = self._debit(sender, cost.tx_j_per_bit * bits)
+        spent = self._debit(sender, cost.tx_j_per_bit * bits)
         sender.pending_tx += 1
         sender.next_free = end
         self._charge_busy(sender, start, unit)
         self._schedule(end, _TX_DONE, sender.id)
-        self.log_row(now, sender.id, "tx", self._pkt_kind(pkt), bits, -1, 1, spent, unit, -1, -1)
-        if died:
+        self.log_row(now, sender.id, "tx", _PKT_KINDS[type(pkt)], bits, -1, 1, spent, unit, -1, -1)
+        if not sender.alive:
             self.log_row(now, sender.id, "death")
-        p_cs = self._broadcast_p_c.get(sender.id)
-        if p_cs is None:
-            p_cs = self._broadcast_p_c[sender.id] = tuple(
-                lookup_p_c(self.table, self.density,
-                           distance(sender.position, self.nodes[nb_id].position))
-                for nb_id in sender.neighbor_ids
-            )
         draw = self.rng.random
-        for nb_id, p_c in zip(sender.neighbor_ids, p_cs):
+        push = heapq.heappush
+        heap = self._heap
+        seq = self._seq
+        sender_id = sender.id
+        for nb_id, p_c in zip(sender.neighbor_ids, self._neighbor_p_c(sender)):
             if draw() >= p_c:
-                self._schedule(end, _ARRIVAL, nb_id, sender.id, pkt, bits)
+                seq += 1
+                push(heap, (end, seq, _ARRIVAL, nb_id, sender_id, pkt, bits))
+        self._seq = seq
 
     # ----- event handlers -----
 
@@ -451,9 +469,9 @@ class Engine:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
             return
-        consumed, died = self._debit(node, radio_rx_energy(bits, self.cfg.energy.e_elec))
-        self.log_row(now, to_id, "rx", self._pkt_kind(pkt), bits, from_id, consumed)
-        if died:
+        consumed = self._debit(node, radio_rx_energy(bits, self.cfg.energy.e_elec))
+        self.event_log.append((now, to_id, "rx", _PKT_KINDS[type(pkt)], bits, from_id, consumed))
+        if not node.alive:
             self.log_row(now, to_id, "death")
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
@@ -502,25 +520,30 @@ class Engine:
 
         duration = cfg.sim.duration
         heap = self._heap
+        heappop = heapq.heappop
+        nodes = self.nodes
+        on_arrival = self._on_arrival
         while heap:
-            time, _, kind, payload = heapq.heappop(heap)
+            event = heappop(heap)
+            time = event[0]
             if time > duration:
                 break
             if time < self.now:
                 raise RuntimeError(f"event at {time!r} scheduled before its cause at {self.now!r}")
             self.now = time
+            kind = event[2]
             if kind == _ARRIVAL:
-                self._on_arrival(payload[0], payload[1], payload[2], payload[3], time)
-            elif kind == _TIMER:
-                node = self.nodes[payload[0]]
-                if node.alive:
-                    self._apply(node, node.protocol.on_timer(payload[1], payload[2], time), time)
-            elif kind == _EMIT:
-                self._on_emit(payload[0], payload[1], time)
-            elif kind == _FLOW_START:
-                self._on_flow_start(payload[0], time)
+                on_arrival(event[3], event[4], event[5], event[6], time)
             elif kind == _TX_DONE:
-                self.nodes[payload[0]].pending_tx -= 1
+                nodes[event[3]].pending_tx -= 1
+            elif kind == _TIMER:
+                node = nodes[event[3]]
+                if node.alive:
+                    self._apply(node, node.protocol.on_timer(event[4], event[5], time), time)
+            elif kind == _EMIT:
+                self._on_emit(event[3], event[4], time)
+            elif kind == _FLOW_START:
+                self._on_flow_start(event[3], time)
         return self
 
 
@@ -541,9 +564,22 @@ def run_scenario(cfg, seed: int | None = None, protocol: str | None = None,
     return RunResult(metrics, engine.event_log, engine)
 
 
+# Rows rendered per chunk by format_log: one chunk's row strings are alive at a time.
+_FORMAT_CHUNK_ROWS = 4096
+
+
 def format_log(event_log: list[tuple]) -> str:
-    """Render the event log as newline-delimited comma-joined records."""
-    return "\n".join([",".join(map(repr, row)) for row in event_log]) + "\n"
+    """Render the event log as newline-delimited comma-joined records.
+
+    An empty log renders as a single newline.
+    """
+    if not event_log:
+        return "\n"
+    return "".join([
+        "".join([",".join(map(repr, row)) + "\n"
+                 for row in event_log[i:i + _FORMAT_CHUNK_ROWS]])
+        for i in range(0, len(event_log), _FORMAT_CHUNK_ROWS)
+    ])
 
 
 def parse_log(text: str) -> list[tuple]:

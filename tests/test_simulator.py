@@ -1,14 +1,15 @@
 import random
 import statistics
+from types import SimpleNamespace
 
 import pytest
 
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import DcfParams, reference_table
+from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
 from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
-from qgrpsim.qgrp import Data
+from qgrpsim.qgrp import Data, Hello
 from qgrpsim.simulator import (
     Engine,
     build_link_cost,
@@ -173,6 +174,78 @@ def test_broadcast_p_c_matches_link_costs():
     assert len({p_c for p_cs in engine._broadcast_p_c.values() for p_c in p_cs}) > 1
 
 
+def test_each_link_p_c_is_looked_up_once(monkeypatch):
+    calls = []
+
+    def counting_lookup(table, density, dist):
+        calls.append(dist)
+        return lookup_p_c(table, density, dist)
+
+    monkeypatch.setattr(simulator, "lookup_p_c", counting_lookup)
+    cfg = parse_config(
+        "[topology]\nn = 40\nseed = 7\n"
+        "[sim]\nduration_s = 3.0\nwarm_up_s = 0.0\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"
+    )
+    table = reference_table()
+    engine = Engine(cfg, table=table).run()
+    broadcast_links = {(u, v) for u in engine._broadcast_p_c
+                       for v in engine.nodes[u].neighbor_ids}
+    # Unicast and route-plane links are broadcast links too, so both paths share them.
+    assert engine._link_cache
+    assert set(engine._link_cache) <= broadcast_links
+    # One lookup per directed link, plus the broadcast record at tx_range.
+    assert len(calls) == len(broadcast_links) + 1
+    for (u, v), cost in engine._link_cache.items():
+        d = distance(engine.nodes[u].position, engine.nodes[v].position)
+        assert cost.p_c == lookup_p_c(table, engine.density, d)
+
+
+def always_lost_engine():
+    """Two nodes whose every MAC draw is 0.0: each attempt on a lossy link fails."""
+    cfg = parse_config("[topology]\nn = 2\nseed = 1\n")
+    engine = Engine(cfg, table=constant_table(0.25))
+    engine.rng = SimpleNamespace(random=lambda: 0.0)
+    return engine
+
+
+@pytest.mark.parametrize("pkt", [Data(1, 2000, 0.0, 9), Hello(0, None, 1.0, 1.0, 3)])
+def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
+    engine = always_lost_engine()
+    receiver = engine.topology.nodes[1]
+    bits = 2160
+    residual = 0.4 * radio_rx_energy(bits, engine.cfg.energy.e_elec)
+    receiver.energy.residual = residual
+    handled = []
+    receiver.protocol.on_packet = lambda *args: handled.append(args) or []
+    engine._on_arrival(receiver.id, 0, pkt, bits, 2.5)
+    rows = [row for row in engine.event_log if row[1] == receiver.id]
+    assert rows[0][2:4] == ("rx", "data" if isinstance(pkt, Data) else "hello")
+    assert rows[0][6] == residual
+    assert rows[1] == (2.5, receiver.id, "death")
+    if isinstance(pkt, Data):
+        assert rows[2:] == [(2.5, receiver.id, "drop", 1, 9, "dead_receiver")]
+    else:
+        assert rows[2:] == []
+    assert not receiver.alive and receiver.energy.residual == 0.0
+    assert handled == []
+
+
+def test_unicast_sender_dies_on_its_second_attempt():
+    engine = always_lost_engine()
+    sender, receiver = engine.topology.nodes
+    bits = 2160
+    per_attempt = engine.link_cost(sender.id, receiver.id).tx_j_per_bit * bits
+    residual = sender.energy.residual = 1.5 * per_attempt
+    engine._transmit_unicast(sender, receiver.id, Data(1, 2000, 0.0, 4), bits, 0.5)
+    tx, death, drop = engine.event_log
+    assert tx[2] == "tx" and tx[6] == 2  # attempts
+    assert tx[7] == residual
+    assert death == (0.5, sender.id, "death")
+    assert drop == (0.5, sender.id, "drop", 1, 4, "mac_loss")
+    assert not sender.alive and sender.energy.residual == 0.0
+
+
 def test_unicast_loss_rate_matches_configured_p_c():
     cfg = parse_config(
         "[topology]\nn = 2\nseed = 1\n"
@@ -248,6 +321,12 @@ def test_log_round_trip_preserves_metrics():
     back = parse_log(format_log(result.event_log))
     assert back == result.event_log
     assert compute_metrics(back, cfg) == result.metrics
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2 * simulator._FORMAT_CHUNK_ROWS + 3])
+def test_format_log_matches_one_join(rows):
+    log = [(0.5 * i, i, "rx", "hello", 160, i - 1, 1e-6 * i) for i in range(rows)]
+    assert format_log(log) == "\n".join([",".join(map(repr, r)) for r in log]) + "\n"
 
 
 def heavy_depletion_cfg(protocol="qgrp"):
