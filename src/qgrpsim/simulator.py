@@ -227,6 +227,8 @@ class Engine:
         # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
         # first broadcast or first link_cost, so each link's p_c is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
+        # Receive energy per packet size: every reception of one size debits the same float.
+        self._rx_energy: dict[int, float] = {}
         # Carrier-sense airtime not yet added to node.busy: bucket -> [(cs_ids, seg), ...]
         # in charge order.  Buckets up to _settled_through are final.
         self._unsettled: defaultdict[int, list] = defaultdict(list)
@@ -469,7 +471,10 @@ class Engine:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
             return
-        consumed = self._debit(node, radio_rx_energy(bits, self.cfg.energy.e_elec))
+        amount = self._rx_energy.get(bits)
+        if amount is None:
+            amount = self._rx_energy[bits] = radio_rx_energy(bits, self.cfg.energy.e_elec)
+        consumed = self._debit(node, amount)
         self.event_log.append((now, to_id, "rx", _PKT_KINDS[type(pkt)], bits, from_id, consumed))
         if not node.alive:
             self.log_row(now, to_id, "death")
@@ -566,20 +571,46 @@ def run_scenario(cfg, seed: int | None = None, protocol: str | None = None,
 
 # Rows rendered per chunk by format_log: one chunk's row strings are alive at a time.
 _FORMAT_CHUNK_ROWS = 4096
+# A 7-field row (an rx row, in practice) with its time and joules already rendered.
+_RX_TEMPLATE = "%s,%r,%r,%r,%r,%r,%s\n"
 
 
 def format_log(event_log: list[tuple]) -> str:
     """Render the event log as newline-delimited comma-joined records.
 
-    An empty log renders as a single newline.
+    Each row renders as ",".join(map(repr, row)) + "\n"; an empty log renders
+    as a single newline.  The receptions of one broadcast share one time
+    object and those of one packet size one joules object, so a 7-field row
+    reuses the previous 7-field row's repr of either field when it holds the
+    very same object.
     """
     if not event_log:
         return "\n"
-    return "".join([
-        "".join([",".join(map(repr, row)) + "\n"
-                 for row in event_log[i:i + _FORMAT_CHUNK_ROWS]])
-        for i in range(0, len(event_log), _FORMAT_CHUNK_ROWS)
-    ])
+    templates = {}  # by row length
+    prev_time = prev_joules = object()
+    time_repr = joules_repr = ""
+    chunks = []
+    for i in range(0, len(event_log), _FORMAT_CHUNK_ROWS):
+        lines = []
+        append = lines.append
+        for row in event_log[i:i + _FORMAT_CHUNK_ROWS]:
+            if len(row) == 7:
+                t, node_id, kind, pkt_kind, bits, from_id, joules = row
+                if t is not prev_time:
+                    prev_time = t
+                    time_repr = repr(t)
+                if joules is not prev_joules:
+                    prev_joules = joules
+                    joules_repr = repr(joules)
+                append(_RX_TEMPLATE % (time_repr, node_id, kind, pkt_kind, bits, from_id,
+                                       joules_repr))
+            else:
+                template = templates.get(len(row))
+                if template is None:
+                    template = templates[len(row)] = ",".join(["%r"] * len(row)) + "\n"
+                append(template % row)
+        chunks.append("".join(lines))
+    return "".join(chunks)
 
 
 def parse_log(text: str) -> list[tuple]:

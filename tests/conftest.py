@@ -13,6 +13,11 @@ def make_config(extra: str = ""):
     return parse_config(extra)
 
 
+def reference_format_log(event_log) -> str:
+    """What format_log must render: each row's reprs joined by commas, one row a line."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in event_log) or "\n"
+
+
 def constant_table(p_c: float) -> CollisionTable:
     """A one-cell collision table pinning every lookup to p_c."""
     return CollisionTable((1.0,), (1.0,), ((p_c,),))

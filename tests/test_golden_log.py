@@ -12,6 +12,7 @@ import pytest
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import reference_table
 from qgrpsim.simulator import Engine, format_log
+from conftest import reference_format_log
 
 
 def small_cfg(protocol, extra=""):
@@ -45,5 +46,9 @@ def test_short_idle_window_digest_is_pinned():
 
 
 def log_digest(cfg, table):
-    engine = Engine(cfg, table=table).run()
-    return hashlib.sha256(format_log(engine.event_log).encode()).hexdigest()
+    log = Engine(cfg, table=table).run().event_log
+    text = format_log(log)
+    # A digest pins the renderer too: one that breaks the repr contract must fail
+    # here rather than be re-recorded.
+    assert text == reference_format_log(log)
+    return hashlib.sha256(text.encode()).hexdigest()

@@ -1,8 +1,11 @@
+import math
 import random
 import statistics
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
@@ -19,7 +22,7 @@ from qgrpsim.simulator import (
     radio_rx_energy,
     run_scenario,
 )
-from conftest import constant_table
+from conftest import constant_table, reference_format_log
 
 
 # ----- topology -----
@@ -329,12 +332,57 @@ def test_format_log_matches_one_join(rows):
     assert format_log(log) == "\n".join([",".join(map(repr, r)) for r in log]) + "\n"
 
 
-def heavy_depletion_cfg(protocol="qgrp"):
+# Log field values whose reprs a renderer could confuse: equal or alike values
+# with different reprs, non-finite floats, subnormals, nesting, and strings
+# with the separators in them.
+LOG_VALUES = st.recursive(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.floats(),
+        st.sampled_from([0.0, -0.0, 1, 1.0, True, False, 0, math.nan, math.inf, -math.inf,
+                         5e-324, 2.5e-310]),
+        st.text(alphabet="ab,'\"\\\n ", max_size=6),
+    ),
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=5,
+)
+
+
+@st.composite
+def event_logs(draw):
+    # Rows draw some fields from a small pool of objects, so the same object
+    # recurs across rows as one broadcast's time and one packet size's joules do.
+    shared = st.sampled_from(draw(st.lists(LOG_VALUES, min_size=1, max_size=6)))
+    rx_row = st.tuples(shared, LOG_VALUES, st.just("rx"), LOG_VALUES, LOG_VALUES, LOG_VALUES,
+                       shared)
+    other_row = st.lists(shared | LOG_VALUES, max_size=11).map(tuple)
+    return draw(st.lists(rx_row | other_row, max_size=40))
+
+
+@given(event_logs())
+def test_format_log_renders_each_row_as_its_reprs(log):
+    assert format_log(log) == reference_format_log(log)
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (1.0, 1), (1, True)])
+@pytest.mark.parametrize("at_chunk_edge", [False, True])
+def test_format_log_keeps_alike_values_apart(first, second, at_chunk_edge):
+    pad = simulator._FORMAT_CHUNK_ROWS - 1 if at_chunk_edge else 0
+    log = ([(0.25, 0, "tx")] * pad
+           + [(first, 1, "rx", "hello", 160, 2, first), (second, 1, "rx", "hello", 160, 2, second)])
+    text = format_log(log)
+    assert text == reference_format_log(log)
+    assert text.endswith(f"{first!r},1,'rx','hello',160,2,{first!r}\n"
+                         f"{second!r},1,'rx','hello',160,2,{second!r}\n")
+
+
+def heavy_depletion_cfg(protocol="qgrp", energy="initial_j = 0.05\n"):
     # Dense little field and tiny batteries so several nodes die mid-run.
     return parse_config(
         "[topology]\nn = 20\nseed = 11\nfield_width = 400.0\nfield_height = 400.0\n"
         f"[protocol]\nname = {protocol}\n"
-        "[energy]\ninitial_j = 0.05\n"
+        f"[energy]\n{energy}"
         "[sim]\nduration_s = 8.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
         "[flow:1]\nrate_bps = 400000.0\nstart_s = 1.0\n"
         "[flow:2]\nrate_bps = 300000.0\nstart_s = 1.5\n"
@@ -364,6 +412,60 @@ def test_energy_conservation_and_dead_node_silence(protocol):
     for node_id, idx in death_index.items():
         after = [r for r in log[idx + 1:] if r[1] == node_id and r[2] in ("tx", "rx")]
         assert after == []
+
+
+# Free amplifier energy: a transmission costs what a reception does, so some
+# receivers die on a reception (in heavy_depletion_cfg every death is a sender's).
+RX_DEATHS = "initial_j = 0.02\ne_amp_j_per_bit_m2 = 0.0\n"
+
+
+@pytest.mark.parametrize("energy, receivers_die", [("initial_j = 0.05\n", False),
+                                                    (RX_DEATHS, True)],
+                         ids=["senders_die", "receivers_die"])
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_rx_energy_is_computed_once_per_packet_size(monkeypatch, protocol, energy,
+                                                    receivers_die):
+    calls = []
+
+    def counting_rx_energy(bits, e_elec):
+        calls.append(bits)
+        return radio_rx_energy(bits, e_elec)
+
+    last_residual = {}
+    debit = Engine._debit
+
+    def recording_debit(self, node, amount):
+        last_residual[node.id] = node.energy.residual
+        return debit(self, node, amount)
+
+    monkeypatch.setattr(simulator, "radio_rx_energy", counting_rx_energy)
+    monkeypatch.setattr(Engine, "_debit", recording_debit)
+    cfg = heavy_depletion_cfg(protocol, energy)
+    log = run_scenario(cfg).event_log
+    rx_bits = {row[4] for row in log if row[2] == "rx"}
+    assert len(rx_bits) > 1
+    assert sorted(calls) == sorted(rx_bits)
+    dying = 0
+    for row, following in zip(log, log[1:] + [()]):
+        if row[2] != "rx":
+            continue
+        if following == (row[0], row[1], "death"):
+            # A node's debits end with the one that kills it.
+            dying += 1
+            assert row[6] == last_residual[row[1]]
+            assert row[6] <= radio_rx_energy(row[4], cfg.energy.e_elec)
+        else:
+            assert row[6] == radio_rx_energy(row[4], cfg.energy.e_elec)
+    assert bool(dying) == receivers_die
+
+
+@pytest.mark.parametrize("energy", ["initial_j = 0.05\n", RX_DEATHS],
+                         ids=["senders_die", "receivers_die"])
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_log_round_trip_with_deaths(protocol, energy):
+    log = run_scenario(heavy_depletion_cfg(protocol, energy)).event_log
+    assert "death" in {row[2] for row in log}
+    assert parse_log(format_log(log)) == log
 
 
 def test_queue_limit_drops_excess_data():
