@@ -90,7 +90,7 @@ class AodvNode:
 
     def _install(self, dest: int, next_hop: int, hop_count: int, dest_seq: int, now: float) -> None:
         """Install or refresh a route, preferring higher seq then lower hop count."""
-        lifetime = now + self.env.aodv_route_timeout
+        lifetime = now + self.env.aodv.active_route_timeout
         entry = self.routes.get(dest)
         if (
             entry is None
@@ -122,8 +122,8 @@ class AodvNode:
         self.seen.add((self.id, self.rreq_counter))
         pending.timer_gen += 1
         return [
-            Broadcast(pkt, self.env.aodv_rreq_bits),
-            StartTimer(self.env.rrep_wait, "aodv_timeout", (dest, pending.timer_gen)),
+            Broadcast(pkt, self.env.aodv.rreq_bits),
+            StartTimer(self.env.retry.rrep_wait, "aodv_timeout", (dest, pending.timer_gen)),
         ]
 
     def _handle_rreq(self, pkt: AodvRreq, from_id: int, now: float) -> list:
@@ -135,15 +135,15 @@ class AodvNode:
         if self.id == pkt.destination:
             self.own_seq = max(self.own_seq, pkt.dest_seq_known) + 1
             rrep = AodvRrep(pkt.source, self.id, self.own_seq, 0)
-            return [Unicast(from_id, rrep, self.env.aodv_rrep_bits)]
+            return [Unicast(from_id, rrep, self.env.aodv.rrep_bits)]
         cached = self.valid_route(pkt.destination, now)
         if cached is not None and cached.dest_seq >= pkt.dest_seq_known:
             rrep = AodvRrep(pkt.source, pkt.destination, cached.dest_seq, cached.hop_count)
-            return [Unicast(from_id, rrep, self.env.aodv_rrep_bits)]
-        if pkt.hop_count + 1 >= self.env.aodv_ttl:
+            return [Unicast(from_id, rrep, self.env.aodv.rrep_bits)]
+        if pkt.hop_count + 1 >= self.env.aodv.ttl:
             return []
         fwd = replace(pkt, hop_count=pkt.hop_count + 1)
-        return [Broadcast(fwd, self.env.aodv_rreq_bits)]
+        return [Broadcast(fwd, self.env.aodv.rreq_bits)]
 
     def _handle_rrep(self, pkt: AodvRrep, from_id: int, now: float) -> list:
         hops = pkt.hop_count + 1
@@ -156,7 +156,7 @@ class AodvNode:
         reverse = self.valid_route(pkt.origin, now)
         if reverse is None:
             return []
-        return [Unicast(reverse.next_hop, replace(pkt, hop_count=hops), self.env.aodv_rrep_bits)]
+        return [Unicast(reverse.next_hop, replace(pkt, hop_count=hops), self.env.aodv.rrep_bits)]
 
     def _flush_flows(self, dest: int, now: float) -> list:
         effects = []
@@ -180,7 +180,7 @@ class AodvNode:
         if self.valid_route(dest, now) is not None:
             del self.pending[dest]
             return self._flush_flows(dest, now)
-        if pending.retries_used >= self.env.max_retries:
+        if pending.retries_used >= self.env.retry.max_retries:
             del self.pending[dest]
             return self._fail_flows(dest, now)
         pending.retries_used += 1
@@ -207,7 +207,7 @@ class AodvNode:
             return []
         if self.valid_route(flow.destination, now) is not None:
             return self.forward_data(pkt, now)
-        if len(flow.buffered) >= self.env.buffer_capacity:
+        if len(flow.buffered) >= self.env.retry.buffer_capacity:
             old = flow.buffered.popleft()
             self.env.log(now, self.id, "drop", flow_id, old.sequence, "buffer_overflow")
         flow.buffered.append(pkt)
@@ -223,15 +223,15 @@ class AodvNode:
             flow = self.flows.get(pkt.flow_id)
             if flow is not None and not flow.failed:
                 # Source-side: queue behind a fresh discovery.
-                if len(flow.buffered) >= self.env.buffer_capacity:
+                if len(flow.buffered) >= self.env.retry.buffer_capacity:
                     old = flow.buffered.popleft()
                     self.env.log(now, self.id, "drop", pkt.flow_id, old.sequence, "buffer_overflow")
                 flow.buffered.append(pkt)
                 return self._ensure_discovery(flow.destination, now)
             self.env.log(now, self.id, "drop", pkt.flow_id, pkt.sequence, "no_route")
             return []
-        entry.lifetime = max(entry.lifetime, now + self.env.aodv_route_timeout)
-        bits = self.env.pkt_bits["data_header"] + pkt.payload_size
+        entry.lifetime = max(entry.lifetime, now + self.env.aodv.active_route_timeout)
+        bits = self.env.pkt.data_header + pkt.payload_size
         self.env.log(
             now, self.id, "data_route", pkt.flow_id, pkt.sequence, entry.dest_seq, entry.hop_count
         )

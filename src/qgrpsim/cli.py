@@ -8,7 +8,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .config import ConfigError, ScenarioConfig, parse_config
+from .config import KEYS, ConfigError, ScenarioConfig, parse_config
 from .dcf import ConvergenceError, DcfParams, build_table, write_table_csv
 from .metrics import METRIC_NAMES, aggregate
 from .simulator import format_log, run_scenario
@@ -128,6 +128,13 @@ def _load_config(path) -> ScenarioConfig:
         return parse_config(fh.read())
 
 
+def _axis(cfg, key, text, option):
+    """A table axis given as `option`, read and checked as the config's [dcf] `key`."""
+    if text is None:
+        return getattr(cfg.dcf, key)
+    return KEYS["dcf"][key].read(text, option)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qgrpsim",
@@ -136,17 +143,15 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run the configured experiment grid")
-    run_p.add_argument("-c", "--config", help="scenario config file")
-    run_p.add_argument("-o", "--output", required=True, help="output directory")
-    run_p.add_argument("--logs", action="store_true", help="also write per-run event logs")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-
-    cmp_p = sub.add_parser("compare", help="run both protocols and emit the six figure files")
-    cmp_p.add_argument("-c", "--config", help="scenario config file")
-    cmp_p.add_argument("-o", "--output", required=True, help="output directory")
-    cmp_p.add_argument("--logs", action="store_true", help="also write per-run event logs")
-    cmp_p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    # run and compare take the same arguments.
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("-c", "--config", help="scenario config file")
+    grid.add_argument("-o", "--output", required=True, help="output directory")
+    grid.add_argument("--logs", action="store_true", help="also write per-run event logs")
+    grid.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    sub.add_parser("run", parents=[grid], help="run the configured experiment grid")
+    sub.add_parser("compare", parents=[grid],
+                   help="run both protocols and emit the six figure files")
 
     dcf_p = sub.add_parser("solve-dcf", help="precompute the collision table CSV")
     dcf_p.add_argument("-o", "--output", required=True, help="output CSV path")
@@ -171,16 +176,10 @@ def main(argv=None) -> int:
                               write_logs=args.logs, jobs=args.jobs)
     if args.command == "solve-dcf":
         try:
-            densities = (
-                tuple(float(v) for v in args.density_axis.split(","))
-                if args.density_axis else cfg.dcf.table_densities
-            )
-            distances = (
-                tuple(float(v) for v in args.distance_axis.split(","))
-                if args.distance_axis else cfg.dcf.table_distances
-            )
-        except ValueError as exc:
-            print(f"config error: bad axis value ({exc})", file=sys.stderr)
+            densities = _axis(cfg, "table_densities", args.density_axis, "--density-axis")
+            distances = _axis(cfg, "table_distances", args.distance_axis, "--distance-axis")
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
         return solve_dcf_command(cfg.dcf.params, densities, distances, args.output,
                                  reduced=cfg.dcf.reduced)

@@ -15,6 +15,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .params import POSITIVE, at_least, check_params, param
+
 _SINGULAR_EPS = 1e-12
 _DAMPING = 0.5
 
@@ -42,25 +44,20 @@ class DcfParams:
     receiver silences when it transmits, in meters.
     """
 
-    cw_min: int = 32
+    cw_min: int = param(32, check=at_least(1))
     cw_max: int = 1024
-    payload_duration: float = 4e-3
-    virtual_slot: float = 50e-6
-    carrier_sense_radius: float = 550.0
-    interference_radius: float = 250.0
+    payload_duration: float = param(4e-3, "payload_duration_s", POSITIVE)
+    virtual_slot: float = param(50e-6, "virtual_slot_s", POSITIVE)
+    carrier_sense_radius: float = param(550.0, "carrier_sense_radius_m", POSITIVE)
+    interference_radius: float = param(250.0, "interference_radius_m", POSITIVE)
 
     def __post_init__(self):
-        if self.cw_min < 1:
-            raise ValueError(f"cw_min must be >= 1, got {self.cw_min}")
+        check_params(self)
         if self.cw_max < self.cw_min:
             raise ValueError(f"cw_max must be >= cw_min, got {self.cw_max} < {self.cw_min}")
         ratio, rem = divmod(self.cw_max, self.cw_min)
         if rem != 0 or ratio & (ratio - 1):
             raise ValueError(f"cw_max/cw_min must be a power of 2, got {self.cw_max}/{self.cw_min}")
-        if self.payload_duration <= 0 or self.virtual_slot <= 0:
-            raise ValueError("payload_duration and virtual_slot must be positive")
-        if self.carrier_sense_radius <= 0 or self.interference_radius <= 0:
-            raise ValueError("carrier-sense and interference radii must be positive")
 
     @property
     def backoff_stages(self) -> int:
@@ -236,6 +233,17 @@ def solve_fixed_point(
     return FixedPointSolution(attempt_probability(p, params), p, residual, iterations)
 
 
+def check_axis(values) -> str | None:
+    """What is wrong with a table axis, or None for a non-empty, increasing, non-negative one."""
+    if not values:
+        return "must be non-empty"
+    if min(values) < 0:
+        return "must be non-negative"
+    if any(b <= a for a, b in zip(values, values[1:])):
+        return "must be strictly increasing"
+    return None
+
+
 @dataclass(frozen=True)
 class CollisionTable:
     """Precomputed collision probabilities over density and distance axes.
@@ -249,12 +257,10 @@ class CollisionTable:
     p_c_grid: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if not self.densities or not self.distances:
-            raise ValueError("table axes must be non-empty")
-        if any(b <= a for a, b in zip(self.densities, self.densities[1:])):
-            raise ValueError("density axis must be strictly increasing")
-        if any(b <= a for a, b in zip(self.distances, self.distances[1:])):
-            raise ValueError("distance axis must be strictly increasing")
+        for name, axis in (("density", self.densities), ("distance", self.distances)):
+            problem = check_axis(axis)
+            if problem:
+                raise ValueError(f"{name} axis {problem}")
         if len(self.p_c_grid) != len(self.densities) or any(
             len(row) != len(self.distances) for row in self.p_c_grid
         ):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 from .actions import Broadcast, StartTimer, Unicast
 from .geometry import GeoContext, Position, deviation_angle, is_forward_progress
 from .link_estimation import NeighborRecord, is_fresh, refresh_estimates
+from .params import FRACTION, check_params, param
 from . import geometry
 
 # Guards keeping the metric finite for collinear or co-located candidates.
@@ -44,12 +45,11 @@ class NodeEnergy:
 class MetricWeights:
     """Bandwidth/energy weighting of the composite link metric."""
 
-    alpha: float = 0.7
-    beta: float = 0.3
+    alpha: float = param(0.7, check=FRACTION)
+    beta: float = param(0.3, check=FRACTION)
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.beta <= 1.0:
-            raise ValueError("alpha and beta must lie in [0, 1]")
+        check_params(self)
         if abs(self.alpha + self.beta - 1.0) > 1e-12:
             raise ValueError(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
 
@@ -166,7 +166,7 @@ class QgrpNode:
     # ----- hello plane -----
 
     def start(self, now: float) -> list:
-        offset = self.env.rng.uniform(0.0, self.env.hello_interval)
+        offset = self.env.rng.uniform(0.0, self.env.hello.interval)
         return [StartTimer(offset, "hello", ())]
 
     def _emit_hello(self, now: float) -> list:
@@ -178,9 +178,9 @@ class QgrpNode:
             self.env.idle_fraction(self.id, now),
             self.hello_seq,
         )
-        jitter = self.env.hello_jitter
-        gap = self.env.hello_interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
-        return [Broadcast(pkt, self.env.pkt_bits["hello"]), StartTimer(gap, "hello", ())]
+        jitter = self.env.hello.jitter
+        gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
+        return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
 
     def on_hello(self, pkt: Hello, now: float) -> list:
         rec = self.neighbors.get(pkt.sender)
@@ -202,15 +202,15 @@ class QgrpNode:
             self.env.idle_fraction(self.id, now),
             self.neighbors,
             lambda peer: self.env.link_cost(self.id, peer),
-            self.env.b_no,
-            self.env.hello_expiry,
+            self.env.mac.b_no,
+            self.env.hello.expiry,
         )
         self._estimates_at = now
         self._purge_reservations(now)
 
     def _purge_reservations(self, now: float) -> None:
-        ttl = self.env.reservation_ttl
-        pending_ttl = self.env.rrep_wait * (self.env.max_retries + 2)
+        ttl = self.env.retry.reservation_ttl
+        pending_ttl = self.env.retry.rrep_wait * (self.env.retry.max_retries + 2)
         for flow_id in list(self.reservations):
             res = self.reservations[flow_id]
             age = now - res.updated_at
@@ -280,8 +280,8 @@ class QgrpNode:
         my_pos = self.env.positions[self.id]
         cand_pos = self.env.positions[candidate]
         sink_pos = self.env.positions[self.env.sink_id]
-        b_ratio = bw / self.env.b_no
-        e_ratio = rec.residual_energy / self.env.initial_energy
+        b_ratio = bw / self.env.mac.b_no
+        e_ratio = rec.residual_energy / self.env.energy.initial
         r = geometry.distance(cand_pos, sink_pos)
         theta = deviation_angle(GeoContext(my_pos, cand_pos, sink_pos))
         weights = self.env.weights
@@ -335,8 +335,8 @@ class QgrpNode:
         self.env.log(now, self.id, "rreq_link", flow.flow_id, retry_index, nxt, est)
         flow.timer_gen += 1
         return [
-            Unicast(nxt, pkt, self.env.pkt_bits["rreq"]),
-            StartTimer(self.env.rrep_wait, "rreq_timeout", (flow.flow_id, flow.timer_gen)),
+            Unicast(nxt, pkt, self.env.pkt.rreq),
+            StartTimer(self.env.retry.rrep_wait, "rreq_timeout", (flow.flow_id, flow.timer_gen)),
         ]
 
     def handle_rreq(self, pkt: Rreq, from_id: int, now: float) -> list:
@@ -360,7 +360,7 @@ class QgrpNode:
             self.env.log(
                 now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, rrep.path_bandwidth
             )
-            return [Unicast(from_id, rrep, self.env.pkt_bits["rrep"])]
+            return [Unicast(from_id, rrep, self.env.pkt.rrep)]
 
         self.refresh(now)
         entry = self.routes.get(pkt.destination)
@@ -384,7 +384,7 @@ class QgrpNode:
                 pkt.hop_trace + (self.id,),
             )
             self.env.log(now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, bw)
-            return [Unicast(from_id, rrep, self.env.pkt_bits["rrep"])]
+            return [Unicast(from_id, rrep, self.env.pkt.rrep)]
 
         exclude = set(pkt.hop_trace)
         exclude.add(self.id)
@@ -398,12 +398,12 @@ class QgrpNode:
                 path_bandwidth_so_far=min(pkt.path_bandwidth_so_far, est),
                 hop_trace=pkt.hop_trace + (self.id,),
             )
-            return [Unicast(nxt, fwd, self.env.pkt_bits["rreq"])]
+            return [Unicast(nxt, fwd, self.env.pkt.rreq)]
 
         cap = self._max_grantable(now, exclude=exclude)
         self.env.log(now, self.id, "admission_reject", pkt.flow_id, pkt.retry_index, cap)
         notify = AdmissionNotify(pkt.flow_id, cap, self.id)
-        return [Unicast(from_id, notify, self.env.pkt_bits["notify"])]
+        return [Unicast(from_id, notify, self.env.pkt.notify)]
 
     def handle_rrep(self, pkt: Rrep, from_id: int, now: float) -> list:
         trace = pkt.hop_trace
@@ -436,7 +436,7 @@ class QgrpNode:
 
         if idx == 0:
             return self._admit_locally(pkt, now)
-        return [Unicast(trace[idx - 1], pkt, self.env.pkt_bits["rrep"])]
+        return [Unicast(trace[idx - 1], pkt, self.env.pkt.rrep)]
 
     def _admit_locally(self, pkt: Rrep, now: float) -> list:
         flow = self.flows.get(pkt.flow_id)
@@ -467,19 +467,20 @@ class QgrpNode:
         prev = self.reverse_hop.get(pkt.flow_id)
         if prev is None:
             return []
-        return [Unicast(prev, pkt, self.env.pkt_bits["notify"])]
+        return [Unicast(prev, pkt, self.env.pkt.notify)]
 
     def _apply_admission_rejection(self, flow: FlowState, max_grantable: float, now: float) -> list:
         flow.max_grantable_seen = min(flow.max_grantable_seen, max_grantable)
-        if self.env.source_policy == "reduce":
-            if flow.rreq_retries_used >= self.env.max_retries or flow.max_grantable_seen <= 0.0:
+        if self.env.retry.policy == "reduce":
+            if (flow.rreq_retries_used >= self.env.retry.max_retries
+                    or flow.max_grantable_seen <= 0.0):
                 return self._fail_flow(flow, now)
             flow.required_bandwidth = flow.max_grantable_seen
             flow.rreq_retries_used += 1
             return self._emit_rreq(flow, now)
-        if flow.rreq_retries_used >= self.env.max_retries:
+        if flow.rreq_retries_used >= self.env.retry.max_retries:
             return self._fail_flow(flow, now)
-        delay = self.env.retry_backoff * (2**flow.rreq_retries_used)
+        delay = self.env.retry.backoff * (2**flow.rreq_retries_used)
         flow.timer_gen += 1
         return [StartTimer(delay, "rreq_retry", (flow.flow_id, flow.timer_gen))]
 
@@ -500,7 +501,7 @@ class QgrpNode:
             flow = self.flows.get(flow_id)
             if flow is None or flow.admitted or flow.failed or flow.timer_gen != gen:
                 return []
-            if flow.rreq_retries_used >= self.env.max_retries:
+            if flow.rreq_retries_used >= self.env.retry.max_retries:
                 return self._fail_flow(flow, now)
             flow.rreq_retries_used += 1
             return self._emit_rreq(flow, now)
@@ -515,7 +516,7 @@ class QgrpNode:
             self.env.log(now, self.id, "drop", flow_id, seq, "flow_failed")
             return []
         if not flow.admitted:
-            if len(flow.buffered) >= self.env.buffer_capacity:
+            if len(flow.buffered) >= self.env.retry.buffer_capacity:
                 old = flow.buffered.popleft()
                 self.env.log(now, self.id, "drop", flow_id, old.sequence, "buffer_overflow")
             flow.buffered.append(pkt)
@@ -526,7 +527,7 @@ class QgrpNode:
         entry = self.routes.get(self.env.sink_id)
         if entry is not None and entry.valid:
             self._purge_reservations(now)
-            if not is_fresh(self.neighbors.get(entry.next_hop), now, self.env.hello_expiry):
+            if not is_fresh(self.neighbors.get(entry.next_hop), now, self.env.hello.expiry):
                 entry.valid = False
                 self.env.log(now, self.id, "route_invalidate", entry.destination, entry.next_hop)
         if entry is None or not entry.valid:
@@ -542,7 +543,7 @@ class QgrpNode:
         res = self.reservations.get(pkt.flow_id)
         if res is not None and res.confirmed:
             res.updated_at = now
-        bits = self.env.pkt_bits["data_header"] + pkt.payload_size
+        bits = self.env.pkt.data_header + pkt.payload_size
         return [Unicast(entry.next_hop, pkt, bits)]
 
     # ----- dispatch -----

@@ -20,6 +20,7 @@ from .aodv import AodvNode, AodvRrep, AodvRreq
 from .dcf import CollisionTable, DcfParams, build_table, lookup_p_c
 from .geometry import Position, distance
 from .link_estimation import mean_backoff_slots
+from .params import POSITIVE, check_params, param
 from .qgrp import AdmissionNotify, Data, Hello, NodeEnergy, QgrpNode, Rrep, Rreq
 
 # Event kinds.  An event is the flat record (time, sequence, kind, *payload),
@@ -65,18 +66,15 @@ class Flow:
     """One constant-rate traffic source; source=None picks a random sensor per run."""
 
     flow_id: int
-    rate: float
-    packet_bits: int
-    start: float
-    stop: float
-    required_bandwidth: float
+    rate: float = param(key="rate_bps", check=POSITIVE)
+    packet_bits: int = param(check=POSITIVE)
+    start: float = param(key="start_s")
+    stop: float = param(key="stop_s")
+    required_bandwidth: float = param(key="required_bps")
     source: int | None = None
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"flow rate must be positive, got {self.rate}")
-        if self.packet_bits <= 0:
-            raise ValueError(f"packet_bits must be positive, got {self.packet_bits}")
+        check_params(self)
 
     @property
     def interval(self) -> float:
@@ -141,7 +139,7 @@ def build_link_cost(p_c: float, dist: float, params: DcfParams, e_elec: float,
 
 
 class _ProtocolEnv:
-    """Node-facing view of the engine: positions, link costs, and callbacks."""
+    """Node-facing view of the engine: positions, link costs, config sections and callbacks."""
 
     def __init__(self, engine):
         self._engine = engine
@@ -149,29 +147,8 @@ class _ProtocolEnv:
         self.sink_id = engine.topology.sink_id
         self.positions = {node.id: node.position for node in engine.topology.nodes}
         self.link_cost = engine.link_cost
-        self.b_no = cfg.mac.b_no
-        self.weights = cfg.weights
-        self.initial_energy = cfg.energy.initial
-        self.pkt_bits = {
-            "hello": cfg.pkt.hello,
-            "rreq": cfg.pkt.rreq,
-            "rrep": cfg.pkt.rrep,
-            "notify": cfg.pkt.notify,
-            "data_header": cfg.pkt.data_header,
-        }
-        self.hello_interval = cfg.hello.interval
-        self.hello_jitter = cfg.hello.jitter
-        self.hello_expiry = cfg.hello.expiry_intervals * cfg.hello.interval
-        self.rrep_wait = cfg.retry.rrep_wait
-        self.max_retries = cfg.retry.max_retries
-        self.retry_backoff = cfg.retry.backoff
-        self.buffer_capacity = cfg.retry.buffer_capacity
-        self.source_policy = cfg.retry.policy
-        self.reservation_ttl = cfg.retry.reservation_ttl
-        self.aodv_rreq_bits = cfg.aodv.rreq_bits
-        self.aodv_rrep_bits = cfg.aodv.rrep_bits
-        self.aodv_route_timeout = cfg.aodv.active_route_timeout
-        self.aodv_ttl = cfg.aodv.ttl
+        self.weights, self.mac, self.energy = cfg.weights, cfg.mac, cfg.energy
+        self.hello, self.retry, self.pkt, self.aodv = cfg.hello, cfg.retry, cfg.pkt, cfg.aodv
         self.rng = engine.rng
 
     def log(self, now, node_id, kind, *detail):
@@ -197,8 +174,9 @@ class Engine:
         self.protocol = cfg.protocol if protocol is None else protocol
         if self.protocol not in ("qgrp", "aodv"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        topo = cfg.topology
         self.topology = generate_topology(
-            cfg.topology.n, cfg.topology.field, cfg.topology.tx_range, self.seed,
+            topo.n, (topo.field_width, topo.field_height), topo.tx_range, self.seed,
             cfg.energy.initial,
         )
         self.nodes = {node.id: node for node in self.topology.nodes}
@@ -211,8 +189,7 @@ class Engine:
                 if p_c >= 1.0:
                     raise ValueError(f"collision table cell (density {density!r}, distance "
                                      f"{dist!r}) has p_c {p_c!r}; it must be below 1")
-        w, h = cfg.topology.field
-        self.density = cfg.topology.n / (w * h) * 1e6
+        self.density = topo.n / (topo.field_width * topo.field_height) * 1e6
         self.rng = random.Random(self.seed + 1_000_003)
         self._setup_rng = random.Random(self.seed + 2_000_003)
         self.now = 0.0

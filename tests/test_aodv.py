@@ -79,7 +79,7 @@ def test_discovery_timeout_retries_then_fails():
     node = AodvNode(0, env)
     node.on_data_emit(5, 2000, 0, 1.0)
     pending = node.pending[2]
-    for retry in range(env.max_retries):
+    for retry in range(env.retry.max_retries):
         out = node.on_timer("aodv_timeout", (2, pending.timer_gen), 1.5 + retry)
         assert any(isinstance(e, Broadcast) for e in out)
     out = node.on_timer("aodv_timeout", (2, pending.timer_gen), 9.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrpsim.actions import StartTimer, Unicast
-from qgrpsim.dcf import DcfParams
+from qgrpsim.config import parse_config
 from qgrpsim.geometry import GeoContext, Position, distance, is_forward_progress
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.qgrp import (
@@ -32,25 +32,12 @@ class StubEnv:
     """Protocol environment with no engine behind it."""
 
     def __init__(self, positions, sink_id, policy="retry"):
+        cfg = parse_config(f"[retry]\nbuffer_capacity = 4\npolicy = {policy}\n")
         self.sink_id = sink_id
         self.positions = positions
-        self.b_no = B_NO
-        self.weights = MetricWeights()
-        self.initial_energy = 40.0
-        self.pkt_bits = {"hello": 256, "rreq": 320, "rrep": 320, "notify": 192, "data_header": 160}
-        self.hello_interval = 1.0
-        self.hello_jitter = 0.1
-        self.hello_expiry = 3.0
-        self.rrep_wait = 0.5
-        self.max_retries = 3
-        self.retry_backoff = 0.5
-        self.buffer_capacity = 4
-        self.source_policy = policy
-        self.reservation_ttl = 10.0
-        self.aodv_rreq_bits = 320
-        self.aodv_rrep_bits = 320
-        self.aodv_route_timeout = 3.0
-        self.aodv_ttl = 30
+        self._dcf_params = cfg.dcf.params
+        self.weights, self.mac, self.energy = cfg.weights, cfg.mac, cfg.energy
+        self.hello, self.retry, self.pkt, self.aodv = cfg.hello, cfg.retry, cfg.pkt, cfg.aodv
         self.rng = random.Random(0)
         self.rows = []
         self.idle = {}
@@ -64,10 +51,10 @@ class StubEnv:
     def link_cost(self, u, v):
         """A collision-free link under the default DCF and radio parameters."""
         dist = distance(self.positions[u], self.positions[v])
-        return build_link_cost(0.0, dist, DcfParams(), 50e-9, 100e-12)
+        return build_link_cost(0.0, dist, self._dcf_params, self.energy.e_elec, self.energy.e_amp)
 
     def residual(self, node_id):
-        return 40.0
+        return self.energy.initial
 
     def alive(self, node_id):
         return True
@@ -445,7 +432,7 @@ def test_retry_exhaustion_fails_flow_and_drops_buffer():
     env, node, notify = source_with_flow("retry")
     flow = node.flows[55]
     flow.buffered.append(Data(55, 2000, 2.05, 0))
-    flow.rreq_retries_used = env.max_retries
+    flow.rreq_retries_used = env.retry.max_retries
     out = node.handle_admission_notify(notify, 1, 2.1)
     assert out == []
     assert flow.failed
@@ -517,7 +504,7 @@ def test_forward_data_without_route_drops_and_requests():
     node.handle_rrep(Rrep(55, 0, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
     assert node.flows[55].admitted
     # Next hop 1 was last heard at 2.0; let its hello age past the expiry.
-    now = 2.0 + env.hello_expiry + 0.5
+    now = 2.0 + env.hello.expiry + 0.5
     out = node.forward_data(Data(55, 2000, now, 9), now)
     assert any(r[2] == "drop" and r[5] == "no_route" for r in env.rows)
     assert not node.flows[55].admitted
@@ -533,7 +520,7 @@ def test_hello_freshness_boundary(past_expiry, fresh):
     node = QgrpNode(0, env)
     hello_into(node, 1, env.positions[1], 2.0)
     node.routes[3] = RouteEntry(3, 1, 1, 1.0e6)
-    now = 2.0 + env.hello_expiry + past_expiry
+    now = 2.0 + env.hello.expiry + past_expiry
     out = node.forward_data(Data(55, 2000, now, 0), now)
     assert [e.to for e in out] == ([1] if fresh else [])
     assert node.routes[3].valid is fresh
