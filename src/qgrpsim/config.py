@@ -236,7 +236,8 @@ def parse_config(text: str) -> ScenarioConfig:
     declared with them (see the module docstring).  Validation errors carry
     the offending key path.
     """
-    cp = configparser.ConfigParser(interpolation=None)
+    # No header names the empty section, so [DEFAULT] is an ordinary, and unknown, section.
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -274,6 +275,7 @@ def parse_config(text: str) -> ScenarioConfig:
              "must lie in [0, duration)")
 
     flows = []
+    n_min = min((cfg.topology.n,) + cfg.sizes)
     for flow_id, (name, given) in sorted(flow_sections.items()):
         _require(("rate",) in given, f"{name}.rate_bps", "is required")
         kwargs = {"packet_bits": 2000, "start": 2.0, "stop": cfg.sim.duration,
@@ -283,6 +285,8 @@ def parse_config(text: str) -> ScenarioConfig:
                  "must lie in [0, stop)")
         _require(0.0 < kwargs["required_bandwidth"] <= cfg.mac.b_no, f"{name}.required_bps",
                  "must lie in (0, mac.b_no_bps]")
+        _require(kwargs["source"] is None or 0 <= kwargs["source"] < n_min, f"{name}.source",
+                 f"must lie in [0, {n_min}), the smallest network size")
         flows.append(Flow(flow_id, **kwargs))
     return replace(cfg, flows=tuple(flows))
 

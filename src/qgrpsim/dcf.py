@@ -19,6 +19,8 @@ from .params import POSITIVE, at_least, check_params, param
 
 _SINGULAR_EPS = 1e-12
 _DAMPING = 0.5
+_TOL = 1e-9  # residual |g(p) - p| a solution must reach
+_DAMPED_STEPS = 9_930  # damped iterations before the bisection fallback
 
 
 class SingularDenominatorError(ArithmeticError):
@@ -26,12 +28,7 @@ class SingularDenominatorError(ArithmeticError):
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed-point solver failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """The fixed-point solver failed to reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -171,8 +168,6 @@ def _coupled_map(p_c: float, counts: RegionCounts, params: DcfParams, reduced: b
 def solve_fixed_point(
     counts: RegionCounts,
     params: DcfParams,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
     reduced: bool = True,
 ) -> FixedPointSolution:
     """Solve p_c = g(p_c) for the coupled attempt/collision system.
@@ -181,23 +176,17 @@ def solve_fixed_point(
     g(p) - p on [0, 1] when damping stalls.  Deterministic for identical
     inputs.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     def g(p: float) -> float:
         return _coupled_map(p, counts, params, reduced)
 
     p = 0.0
     iterations = 0
-    residual = math.inf
-    budget = max(1, max_iter - 70)  # leave room for the bisection fallback
-    while iterations < budget:
+    while iterations < _DAMPED_STEPS:
         iterations += 1
         target = g(p)
         residual = abs(target - p)
-        if residual <= tol:
+        if residual <= _TOL:
             return FixedPointSolution(attempt_probability(p, params), p, residual, iterations)
         p = (1.0 - _DAMPING) * p + _DAMPING * target
         p = min(1.0, max(0.0, p))
@@ -205,12 +194,8 @@ def solve_fixed_point(
     # Bisection on h(p) = g(p) - p; h(0) >= 0 and h(1) <= 0 always bracket.
     lo, hi = 0.0, 1.0
     h_lo = g(lo) - lo
-    if h_lo <= tol:
-        p = lo if abs(h_lo) <= tol else p
     for _ in range(64):
         iterations += 1
-        if iterations >= max_iter:
-            break
         mid = 0.5 * (lo + hi)
         h_mid = g(mid) - mid
         if h_mid == 0.0:
@@ -224,11 +209,9 @@ def solve_fixed_point(
             break
     p = 0.5 * (lo + hi)
     residual = abs(g(p) - p)
-    if residual > tol:
+    if residual > _TOL:
         raise ConvergenceError(
-            f"fixed point not reached after {iterations} iterations (residual {residual:.3e})",
-            residual,
-            iterations,
+            f"fixed point not reached after {iterations} iterations (residual {residual:.3e})"
         )
     return FixedPointSolution(attempt_probability(p, params), p, residual, iterations)
 
@@ -275,8 +258,6 @@ def build_table(
     densities: list[float] | tuple[float, ...],
     distances: list[float] | tuple[float, ...],
     params: DcfParams,
-    tol: float = 1e-9,
-    max_iter: int = 10_000,
     reduced: bool = True,
 ) -> CollisionTable:
     """Solve the fixed point for every axis combination.
@@ -289,13 +270,10 @@ def build_table(
         for dist in distances:
             counts = region_counts(density / 1e6, dist, params)
             try:
-                row.append(solve_fixed_point(counts, params, tol, max_iter, reduced).p_c)
+                row.append(solve_fixed_point(counts, params, reduced).p_c)
             except (ConvergenceError, SingularDenominatorError) as exc:
                 raise ConvergenceError(
-                    f"cell (density={density}, distance={dist}): {exc}",
-                    getattr(exc, "residual", math.nan),
-                    getattr(exc, "iterations", 0),
-                ) from exc
+                    f"cell (density={density}, distance={dist}): {exc}") from exc
         grid.append(tuple(row))
     return CollisionTable(tuple(float(d) for d in densities), tuple(float(d) for d in distances), tuple(grid))
 

@@ -19,6 +19,7 @@ class RunMetrics:
     pdr: unique data packets at the sink over data packets originated;
     None when nothing was originated.
     mean_delay: mean origin-to-sink latency over delivered packets.
+    mean_residual_energy: mean final residual energy across all sensors.
     energy_efficiency: joules dissipated by source and forwarder sensors
     per unique delivered packet; None when nothing was delivered.
     std_energy_deviation: population standard deviation of final residual
@@ -34,8 +35,6 @@ class RunMetrics:
 
 
 METRIC_NAMES = tuple(f.name for f in fields(RunMetrics))
-# Metrics where smaller values mean better performance.
-LOWER_IS_BETTER = ("mean_delay", "energy_efficiency")
 
 
 def compute_metrics(event_log: list[tuple], cfg) -> RunMetrics:

@@ -13,10 +13,9 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .actions import Broadcast, StartTimer, Unicast
-from .geometry import GeoContext, Position, deviation_angle, is_forward_progress
+from .geometry import Position, deviation_angle, distance, is_forward_progress
 from .link_estimation import NeighborRecord, is_fresh, refresh_estimates
 from .params import FRACTION, check_params, param
-from . import geometry
 
 # Guards keeping the metric finite for collinear or co-located candidates.
 MIN_METRIC_DISTANCE = 1.0   # meters
@@ -89,7 +88,6 @@ class Rreq:
 @dataclass(frozen=True)
 class Rrep:
     flow_id: int
-    source: int
     destination: int
     dest_seq: int
     path_bandwidth: float
@@ -100,7 +98,6 @@ class Rrep:
 class AdmissionNotify:
     flow_id: int
     max_grantable_bandwidth: float
-    rejecting_node: int
 
 
 @dataclass(frozen=True)
@@ -161,7 +158,6 @@ class QgrpNode:
         self.reverse_hop: dict[int, int] = {}
         self.dest_seq = 0
         self.hello_seq = 0
-        self.loop_witness_count = 0
 
     # ----- hello plane -----
 
@@ -218,18 +214,9 @@ class QgrpNode:
                 del self.reservations[flow_id]
                 self.env.log(now, self.id, "release", flow_id, res.peer, res.bandwidth, "expired")
 
-    def reserved_toward(self, peer: int, exclude_flow: int | None = None) -> float:
-        """Bandwidth committed toward peer, optionally skipping one flow's own slot.
-
-        A flow re-requesting a path replaces its reservation instead of
-        adding a second one, so capacity checks made on its behalf must not
-        count the slot it already holds.
-        """
-        return sum(
-            r.bandwidth
-            for flow_id, r in self.reservations.items()
-            if r.peer == peer and flow_id != exclude_flow
-        )
+    def reserved_toward(self, peer: int) -> float:
+        """Bandwidth committed toward peer, summed over every flow's reservation."""
+        return sum(r.bandwidth for r in self.reservations.values() if r.peer == peer)
 
     def _reserve(self, flow_id: int, peer: int, bandwidth: float, now: float, confirmed: bool) -> None:
         prior = self.reservations.get(flow_id)
@@ -258,7 +245,7 @@ class QgrpNode:
             peer_pos = self.env.positions[peer]
             if peer_pos == my_pos:
                 continue  # degenerate neighbor, excluded rather than erroring
-            if is_forward_progress(GeoContext(my_pos, peer_pos, sink_pos)):
+            if is_forward_progress(my_pos, peer_pos, sink_pos):
                 yield peer, bw
 
     def forwarder_set(self, required_bandwidth: float, now: float, exclude=()) -> set[int]:
@@ -282,8 +269,8 @@ class QgrpNode:
         sink_pos = self.env.positions[self.env.sink_id]
         b_ratio = bw / self.env.mac.b_no
         e_ratio = rec.residual_energy / self.env.energy.initial
-        r = geometry.distance(cand_pos, sink_pos)
-        theta = deviation_angle(GeoContext(my_pos, cand_pos, sink_pos))
+        r = distance(cand_pos, sink_pos)
+        theta = deviation_angle(my_pos, cand_pos, sink_pos)
         weights = self.env.weights
         numerator = weights.alpha * b_ratio + weights.beta * e_ratio
         return numerator / (max(r, MIN_METRIC_DISTANCE) * max(theta, MIN_METRIC_ANGLE))
@@ -343,7 +330,6 @@ class QgrpNode:
         self.reverse_hop[pkt.flow_id] = from_id
         if self.id in pkt.hop_trace:
             # Loop witness; trace exclusion below must keep this unreachable.
-            self.loop_witness_count += 1
             self.env.log(now, self.id, "loop_witness", pkt.flow_id, pkt.retry_index)
             return []
 
@@ -351,7 +337,6 @@ class QgrpNode:
             self.dest_seq += 1
             rrep = Rrep(
                 pkt.flow_id,
-                pkt.source,
                 self.id,
                 self.dest_seq,
                 pkt.path_bandwidth_so_far,
@@ -380,7 +365,7 @@ class QgrpNode:
                 now, self.id, "cache_reply", pkt.flow_id, pkt.retry_index, entry.path_bandwidth
             )
             rrep = Rrep(
-                pkt.flow_id, pkt.source, pkt.destination, entry.dest_seq, bw,
+                pkt.flow_id, pkt.destination, entry.dest_seq, bw,
                 pkt.hop_trace + (self.id,),
             )
             self.env.log(now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, bw)
@@ -402,7 +387,7 @@ class QgrpNode:
 
         cap = self._max_grantable(now, exclude=exclude)
         self.env.log(now, self.id, "admission_reject", pkt.flow_id, pkt.retry_index, cap)
-        notify = AdmissionNotify(pkt.flow_id, cap, self.id)
+        notify = AdmissionNotify(pkt.flow_id, cap)
         return [Unicast(from_id, notify, self.env.pkt.notify)]
 
     def handle_rrep(self, pkt: Rrep, from_id: int, now: float) -> list:

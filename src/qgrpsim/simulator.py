@@ -13,7 +13,7 @@ import heapq
 import random
 from bisect import bisect_left
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .actions import Broadcast, StartTimer, Unicast
 from .aodv import AodvNode, AodvRrep, AodvRreq
@@ -56,9 +56,7 @@ class SensorNode:
 class Topology:
     nodes: list[SensorNode]
     sink_id: int
-    field_size: tuple[float, float]
     tx_range: float
-    rng_seed: int
 
 
 @dataclass(frozen=True)
@@ -105,7 +103,7 @@ def generate_topology(
         for i in range(n)
     ]
     sink_id = rng.randrange(n)
-    return Topology(nodes, sink_id, (float(w), float(h)), float(tx_range), seed)
+    return Topology(nodes, sink_id, float(tx_range))
 
 
 def radio_rx_energy(bits: int, e_elec: float) -> float:
@@ -167,11 +165,10 @@ class _ProtocolEnv:
 class Engine:
     """One seeded simulation run for one protocol."""
 
-    def __init__(self, cfg, seed: int | None = None, protocol: str | None = None,
-                 table: CollisionTable | None = None):
+    def __init__(self, cfg, seed: int | None = None, table: CollisionTable | None = None):
         self.cfg = cfg
         self.seed = cfg.topology.seed if seed is None else seed
-        self.protocol = cfg.protocol if protocol is None else protocol
+        self.protocol = cfg.protocol
         if self.protocol not in ("qgrp", "aodv"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         topo = cfg.topology
@@ -247,8 +244,7 @@ class Engine:
             if flow.source is None:
                 pool = [c for c in candidates if c not in {f.source for f in assigned}]
                 src = self._setup_rng.choice(pool or candidates)
-                assigned.append(Flow(flow.flow_id, flow.rate, flow.packet_bits, flow.start,
-                                     flow.stop, flow.required_bandwidth, src))
+                assigned.append(replace(flow, source=src))
             else:
                 if flow.source not in self.nodes:
                     raise ValueError(f"flow {flow.flow_id}: unknown source {flow.source}")
@@ -364,16 +360,39 @@ class Engine:
 
     # ----- channel -----
 
-    def _transmit_unicast(self, sender: SensorNode, to_id: int, pkt, bits: int, now: float):
+    def _refuses(self, sender: SensorNode, pkt, now: float) -> bool:
+        """True for a dead sender or a full queue; data refused by a full queue is dropped."""
         if not sender.alive:
-            return
-        if sender.pending_tx >= self.cfg.mac.queue_limit:
-            if isinstance(pkt, Data):
-                self.log_row(now, sender.id, "drop", pkt.flow_id, pkt.sequence, "queue_full")
+            return True
+        full = sender.pending_tx >= self.cfg.mac.queue_limit
+        if full and isinstance(pkt, Data):
+            self.log_row(now, sender.id, "drop", pkt.flow_id, pkt.sequence, "queue_full")
+        return full
+
+    def _occupy(self, sender: SensorNode, pkt, bits: int, to_id: int, attempts: int,
+                spent: float, airtime: float, now: float) -> float:
+        """Hold sender's radio for airtime from when it is next free; returns the end time.
+
+        Charges the airtime to carrier sense and logs the tx row, then a death row if drained.
+        """
+        start = max(now, sender.next_free)
+        end = start + airtime
+        sender.pending_tx += 1
+        sender.next_free = end
+        self._charge_busy(sender, start, airtime)
+        self._schedule(end, _TX_DONE, sender.id)
+        flow_id, seq = (pkt.flow_id, pkt.sequence) if isinstance(pkt, Data) else (-1, -1)
+        self.log_row(now, sender.id, "tx", _PKT_KINDS[type(pkt)], bits, to_id, attempts, spent,
+                     airtime, flow_id, seq)
+        if not sender.alive:
+            self.log_row(now, sender.id, "death")
+        return end
+
+    def _transmit_unicast(self, sender: SensorNode, to_id: int, pkt, bits: int, now: float):
+        if self._refuses(sender, pkt, now):
             return
         cost = self.link_cost(sender.id, to_id)
         unit = bits / self.cfg.mac.b_no + cost.contention_s
-        start = max(now, sender.next_free)
         max_attempts = 1 + self.cfg.mac.retries
         attempts = 0
         delivered = False
@@ -384,40 +403,19 @@ class Engine:
             if self.rng.random() >= cost.p_c:
                 delivered = True
                 break
-        end = start + attempts * unit
-        sender.pending_tx += 1
-        sender.next_free = end
-        self._charge_busy(sender, start, attempts * unit)
-        self._schedule(end, _TX_DONE, sender.id)
-        flow_id, seq = (pkt.flow_id, pkt.sequence) if isinstance(pkt, Data) else (-1, -1)
-        self.log_row(
-            now, sender.id, "tx", _PKT_KINDS[type(pkt)], bits, to_id, attempts, spent,
-            attempts * unit, flow_id, seq,
-        )
-        if not sender.alive:
-            self.log_row(now, sender.id, "death")
+        end = self._occupy(sender, pkt, bits, to_id, attempts, spent, attempts * unit, now)
         if delivered:
             self._schedule(end, _ARRIVAL, to_id, sender.id, pkt, bits)
         elif isinstance(pkt, Data):
             self.log_row(now, sender.id, "drop", pkt.flow_id, pkt.sequence, "mac_loss")
 
     def _transmit_broadcast(self, sender: SensorNode, pkt, bits: int, now: float):
-        if not sender.alive:
-            return
-        if sender.pending_tx >= self.cfg.mac.queue_limit:
+        if self._refuses(sender, pkt, now):
             return
         cost = self._broadcast_cost
-        unit = bits / self.cfg.mac.b_no + cost.contention_s
-        start = max(now, sender.next_free)
-        end = start + unit
         spent = self._debit(sender, cost.tx_j_per_bit * bits)
-        sender.pending_tx += 1
-        sender.next_free = end
-        self._charge_busy(sender, start, unit)
-        self._schedule(end, _TX_DONE, sender.id)
-        self.log_row(now, sender.id, "tx", _PKT_KINDS[type(pkt)], bits, -1, 1, spent, unit, -1, -1)
-        if not sender.alive:
-            self.log_row(now, sender.id, "death")
+        unit = bits / self.cfg.mac.b_no + cost.contention_s
+        end = self._occupy(sender, pkt, bits, -1, 1, spent, unit, now)
         draw = self.rng.random
         push = heapq.heappush
         heap = self._heap
@@ -536,12 +534,11 @@ class RunResult:
     engine: Engine
 
 
-def run_scenario(cfg, seed: int | None = None, protocol: str | None = None,
-                 table: CollisionTable | None = None) -> RunResult:
+def run_scenario(cfg, seed: int | None = None) -> RunResult:
     """Execute one seeded run and compute its metrics from the event log."""
     from .metrics import compute_metrics
 
-    engine = Engine(cfg, seed=seed, protocol=protocol, table=table).run()
+    engine = Engine(cfg, seed=seed).run()
     metrics = compute_metrics(engine.event_log, cfg)
     return RunResult(metrics, engine.event_log, engine)
 

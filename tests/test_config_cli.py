@@ -132,6 +132,10 @@ BAD_VALUES = [
     ("flow:1.packet_bits", "[flow:1]\nrate_bps = 1e3\npacket_bits = 0\n"),
     ("flow:1.start_s", "[flow:1]\nrate_bps = 1e3\nstart_s = 5\nstop_s = 5\n"),
     ("flow:1.required_bps", "[flow:1]\nrate_bps = 1e3\nrequired_bps = 0\n"),
+    ("flow:1.source", "[topology]\nn = 12\n[flow:1]\nrate_bps = 1e3\nsource = 50\n"),
+    ("flow:1.source", "[topology]\nn = 12\n[flow:1]\nrate_bps = 1e3\nsource = -1\n"),
+    ("flow:1.source", "[experiment]\nsizes = 10,30\n[flow:1]\nrate_bps = 1e3\nsource = 20\n"),
+    ("flow:1.source", "[experiment]\nsizes = 10,30\n[flow:1]\nrate_bps = 1e3\nsource = 10\n"),
 ]
 
 
@@ -157,6 +161,21 @@ def test_every_checked_key_has_a_bad_value():
 def test_non_finite_numbers_rejected(document):
     section, key = re.match(r"\[(\w+)\]\n(\w+)", document).groups()
     with pytest.raises(ConfigError, match=rf"^{section}\.{key}: expected .*finite number"):
+        parse_config(document)
+
+
+def test_flow_source_below_the_smallest_network_size_parses():
+    document = "[experiment]\nsizes = 10,30\n[flow:1]\nrate_bps = 1e3\nsource = 9\n"
+    assert parse_config(document).flows[0].source == 9
+
+
+@pytest.mark.parametrize("document", [
+    "[DEFAULT]\nseed = 3\n",
+    "[DEFAULT]\nseed = 3\n[topology]\nn = 12\n",
+    "[DEFAULT]\nseed = 3\n[sim]\nduration_s = 3.0\n",
+])
+def test_default_section_rejected(document):
+    with pytest.raises(ConfigError, match=r"^DEFAULT: unknown section"):
         parse_config(document)
 
 
@@ -243,6 +262,7 @@ def documents(draw):
             section = DECLARED[name].section
             lines.append(f"[{section}]")
         lines.append(f"{DECLARED[name].name} = {render(value)}")
+    n_min = min((values["topology.n"],) + values["experiment.sizes"])
     for flow_id in draw(st.lists(st.integers(0, 99), max_size=3, unique=True)):
         start = duration * draw(st.floats(0.0, 1.0, exclude_max=True))
         stop = draw(st.floats(start, duration))
@@ -251,7 +271,7 @@ def documents(draw):
         lines += [f"[flow:{flow_id}]", f"rate_bps = {draw(st.floats(1e-3, 1e9))!r}",
                   f"packet_bits = {draw(st.integers(1, 10**5))}", f"start_s = {start!r}",
                   f"stop_s = {stop!r}", f"required_bps = {required!r}"]
-        source = draw(st.none() | st.integers(0, 10**4))
+        source = draw(st.none() | st.integers(0, n_min - 1))
         if source is not None:
             lines.append(f"source = {source}")
     return "\n".join(lines) + "\n", values

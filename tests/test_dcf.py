@@ -159,13 +159,6 @@ def test_solve_isolated_sender():
     assert sol.residual <= 1e-9
 
 
-def test_solve_validates_arguments():
-    with pytest.raises(ValueError):
-        solve_fixed_point(RegionCounts(1.0, 0.0), DEFAULTS, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_fixed_point(RegionCounts(1.0, 0.0), DEFAULTS, max_iter=0)
-
-
 def test_solve_deterministic_bitwise():
     counts = region_counts(1e-4, 150.0, DEFAULTS)
     a = solve_fixed_point(counts, DEFAULTS)

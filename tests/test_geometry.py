@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from qgrpsim.geometry import (
     DegeneratePositionError,
-    GeoContext,
     Position,
     deviation_angle,
     distance,
@@ -50,37 +49,37 @@ def test_position_rejects_non_finite():
 
 
 def test_deviation_angle_collinear_toward_sink():
-    ctx = GeoContext(Position(0, 0), Position(5, 0), Position(10, 0))
-    assert deviation_angle(ctx) == 0.0
+    assert deviation_angle(Position(0, 0), Position(5, 0), Position(10, 0)) == 0.0
 
 
 def test_deviation_angle_perpendicular():
-    ctx = GeoContext(Position(0, 0), Position(0, 5), Position(10, 0))
-    assert deviation_angle(ctx) == math.pi / 2
+    assert deviation_angle(Position(0, 0), Position(0, 5), Position(10, 0)) == math.pi / 2
 
 
 def test_deviation_angle_opposite():
-    ctx = GeoContext(Position(0, 0), Position(-5, 0), Position(10, 0))
-    assert deviation_angle(ctx) == math.pi
+    assert deviation_angle(Position(0, 0), Position(-5, 0), Position(10, 0)) == math.pi
 
 
-def test_deviation_angle_degenerate_neighbor():
-    with pytest.raises(DegeneratePositionError):
-        deviation_angle(GeoContext(Position(0, 0), Position(0, 0), Position(10, 0)))
+over_both_functions = pytest.mark.parametrize("fn", [deviation_angle, is_forward_progress],
+                                          ids=lambda fn: fn.__name__)
 
 
-def test_deviation_angle_degenerate_sink():
-    with pytest.raises(DegeneratePositionError):
-        deviation_angle(GeoContext(Position(0, 0), Position(5, 0), Position(0, 0)))
+@over_both_functions
+def test_degenerate_neighbor(fn):
+    with pytest.raises(DegeneratePositionError, match="neighbor coincides"):
+        fn(Position(0, 0), Position(0, 0), Position(10, 0))
+
+
+@over_both_functions
+def test_degenerate_sink(fn):
+    with pytest.raises(DegeneratePositionError, match="sink coincide"):
+        fn(Position(0, 0), Position(5, 0), Position(0, 0))
 
 
 def test_forward_progress_boundary_inclusive():
-    perpendicular = GeoContext(Position(0, 0), Position(0, 5), Position(10, 0))
-    assert is_forward_progress(perpendicular)
-    backward = GeoContext(Position(0, 0), Position(-5, 0), Position(10, 0))
-    assert not is_forward_progress(backward)
-    collinear = GeoContext(Position(0, 0), Position(5, 0), Position(10, 0))
-    assert is_forward_progress(collinear)
+    assert is_forward_progress(Position(0, 0), Position(0, 5), Position(10, 0))  # perpendicular
+    assert not is_forward_progress(Position(0, 0), Position(-5, 0), Position(10, 0))
+    assert is_forward_progress(Position(0, 0), Position(5, 0), Position(10, 0))  # collinear
 
 
 @settings(max_examples=200)
@@ -88,11 +87,12 @@ def test_forward_progress_boundary_inclusive():
        st.floats(min_value=-math.pi, max_value=math.pi),
        coord, coord)
 def test_deviation_angle_rigid_motion_invariant(sx, sy, nx, ny, kx, ky, phi, tx, ty):
-    base = GeoContext(Position(sx, sy), Position(nx, ny), Position(kx, ky))
+    base = (Position(sx, sy), Position(nx, ny), Position(kx, ky))
     if (nx, ny) == (sx, sy) or (kx, ky) == (sx, sy):
         return
     # Keep the configuration away from degeneracy so the tolerance is meaningful.
-    if distance(base.self_pos, base.neighbor_pos) < 1e-3 or distance(base.self_pos, base.sink_pos) < 1e-3:
+    legs = distance(base[0], base[1]), distance(base[0], base[2])
+    if min(legs) < 1e-3:
         return
 
     c, s = math.cos(phi), math.sin(phi)
@@ -100,20 +100,14 @@ def test_deviation_angle_rigid_motion_invariant(sx, sy, nx, ny, kx, ky, phi, tx,
     def move(p: Position) -> Position:
         return Position(c * p.x - s * p.y + tx, s * p.x + c * p.y + ty)
 
-    moved = GeoContext(move(base.self_pos), move(base.neighbor_pos), move(base.sink_pos))
-    if (moved.neighbor_pos == moved.self_pos) or (moved.sink_pos == moved.self_pos):
+    moved = tuple(map(move, base))
+    if moved[1] == moved[0] or moved[2] == moved[0]:
         return
-    scale = max(
-        1.0,
-        distance(base.self_pos, base.neighbor_pos),
-        distance(base.self_pos, base.sink_pos),
-        abs(tx), abs(ty),
-    )
+    scale = max(1.0, *legs, abs(tx), abs(ty))
     # Rounding in the transformed coordinates perturbs the angle by about
     # eps * (scale / leg length).
-    leg = min(distance(base.self_pos, base.neighbor_pos), distance(base.self_pos, base.sink_pos))
-    tol = max(1e-9, 1e-12 * scale / leg)
-    assert deviation_angle(moved) == pytest.approx(deviation_angle(base), abs=tol)
+    tol = max(1e-9, 1e-12 * scale / min(legs))
+    assert deviation_angle(*moved) == pytest.approx(deviation_angle(*base), abs=tol)
 
 
 @settings(max_examples=300)
@@ -121,6 +115,5 @@ def test_deviation_angle_rigid_motion_invariant(sx, sy, nx, ny, kx, ky, phi, tx,
 def test_forward_progress_matches_dot_product_sign(sx, sy, nx, ny, kx, ky):
     if (nx, ny) == (sx, sy) or (kx, ky) == (sx, sy):
         return
-    ctx = GeoContext(Position(sx, sy), Position(nx, ny), Position(kx, ky))
     dot = (kx - sx) * (nx - sx) + (ky - sy) * (ny - sy)
-    assert is_forward_progress(ctx) == (dot >= 0.0)
+    assert is_forward_progress(Position(sx, sy), Position(nx, ny), Position(kx, ky)) == (dot >= 0.0)

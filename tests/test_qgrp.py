@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qgrpsim.actions import StartTimer, Unicast
 from qgrpsim.config import parse_config
-from qgrpsim.geometry import GeoContext, Position, distance, is_forward_progress
+from qgrpsim.geometry import Position, distance, is_forward_progress
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.qgrp import (
     AdmissionNotify,
@@ -112,8 +112,8 @@ def test_forwarder_set_matches_brute_force_filter():
 
     expected = set()
     for peer in range(1, 25):
-        ctx = GeoContext(positions[0], positions[peer], positions[99])
-        if is_forward_progress(ctx) and expected_estimate(idles[peer]) >= required:
+        forward = is_forward_progress(positions[0], positions[peer], positions[99])
+        if forward and expected_estimate(idles[peer]) >= required:
             expected.add(peer)
     assert got == expected
 
@@ -282,7 +282,7 @@ def test_cached_route_reply_uses_stored_bandwidth():
     env = line_env()
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 1.6e6})
-    node.handle_rrep(Rrep(5, 0, 3, 4, 1.1e6, (0, 1, 2, 3)), 2, 4.0)
+    node.handle_rrep(Rrep(5, 3, 4, 1.1e6, (0, 1, 2, 3)), 2, 4.0)
     assert node.routes[3].path_bandwidth == 1.1e6
     pkt = Rreq(12, 0, 3, 0.5e6, 0.8e6, 0, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
@@ -306,7 +306,7 @@ def test_rejection_notifies_with_max_grantable():
     notify = effect.packet
     assert isinstance(notify, AdmissionNotify)
     assert notify.max_grantable_bandwidth == 0.3e6
-    assert notify.rejecting_node == 1
+    assert [row[1] for row in env.rows_of("admission_reject")] == [1]
     assert effect.to == 0
 
 
@@ -315,7 +315,6 @@ def test_loop_witness_drops_and_counts():
     node = QgrpNode(1, env)
     pkt = Rreq(30, 0, 3, 0.5e6, 1.0e6, 0, 0, (0, 1, 2))
     assert node.handle_rreq(pkt, 2, 4.0) == []
-    assert node.loop_witness_count == 1
     assert len(env.rows_of("loop_witness")) == 1
 
 
@@ -331,7 +330,7 @@ def test_forwarding_excludes_nodes_already_in_trace():
     pkt = Rreq(31, 0, 9, 0.5e6, 1.0e6, 0, 0, (0, 2))
     (effect,) = node.handle_rreq(pkt, 2, 4.0)
     assert isinstance(effect.packet, AdmissionNotify)
-    assert node.loop_witness_count == 0
+    assert env.rows_of("loop_witness") == []
 
 
 def test_three_hop_line_bottleneck():
@@ -370,21 +369,21 @@ def test_rrep_freshness_rules():
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 1.5e6})
 
-    node.handle_rrep(Rrep(1, 0, 3, 4, 1.0e6, (0, 1, 2, 3)), 2, 4.0)
+    node.handle_rrep(Rrep(1, 3, 4, 1.0e6, (0, 1, 2, 3)), 2, 4.0)
     assert (node.routes[3].dest_seq, node.routes[3].path_bandwidth) == (4, 1.0e6)
 
     # Higher sequence replaces even with lower bandwidth.
-    node.handle_rrep(Rrep(1, 0, 3, 5, 0.8e6, (0, 1, 2, 3)), 2, 4.0)
+    node.handle_rrep(Rrep(1, 3, 5, 0.8e6, (0, 1, 2, 3)), 2, 4.0)
     assert (node.routes[3].dest_seq, node.routes[3].path_bandwidth) == (5, 0.8e6)
 
     # Same sequence with strictly higher bandwidth replaces.
-    node.handle_rrep(Rrep(1, 0, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
+    node.handle_rrep(Rrep(1, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
     assert (node.routes[3].dest_seq, node.routes[3].path_bandwidth) == (5, 1.2e6)
 
     # Equal sequence and bandwidth keeps the stored entry (non-strict case),
     # but the packet is still forwarded toward the source.
     kept = node.routes[3]
-    out = node.handle_rrep(Rrep(1, 0, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
+    out = node.handle_rrep(Rrep(1, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
     assert node.routes[3] is kept
     assert out and out[0].to == 0
 
@@ -404,7 +403,7 @@ def source_with_flow(policy="retry", grant=0.3e6):
     pin_estimates(node, 2.0, {1: 1.5e6})
     effects = node.start_flow(55, 0.5e6, 2.0)
     assert any(isinstance(e, Unicast) for e in effects)
-    return env, node, AdmissionNotify(55, grant, 2)
+    return env, node, AdmissionNotify(55, grant)
 
 
 def test_notify_retry_policy_keeps_requirement_and_schedules():
@@ -454,7 +453,7 @@ def test_stale_timer_is_ignored_after_rrep():
     env, node, _ = source_with_flow("retry")
     flow = node.flows[55]
     stale_gen = flow.timer_gen
-    node.handle_rrep(Rrep(55, 0, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.2)
+    node.handle_rrep(Rrep(55, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.2)
     assert flow.admitted
     assert node.on_timer("rreq_timeout", (55, stale_gen), 2.6) == []
 
@@ -493,7 +492,7 @@ def test_admission_flushes_buffer_fifo():
     env, node, _ = source_with_flow("retry")
     for seq in range(3):
         node.on_data_emit(55, 2000, seq, 2.2)
-    out = node.handle_rrep(Rrep(55, 0, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
+    out = node.handle_rrep(Rrep(55, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
     sent = [e.packet.sequence for e in out if isinstance(e, Unicast) and isinstance(e.packet, Data)]
     assert sent == [0, 1, 2]
     assert all(e.to == 1 for e in out if isinstance(e, Unicast))
@@ -501,7 +500,7 @@ def test_admission_flushes_buffer_fifo():
 
 def test_forward_data_without_route_drops_and_requests():
     env, node, _ = source_with_flow("retry")
-    node.handle_rrep(Rrep(55, 0, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
+    node.handle_rrep(Rrep(55, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
     assert node.flows[55].admitted
     # Next hop 1 was last heard at 2.0; let its hello age past the expiry.
     now = 2.0 + env.hello.expiry + 0.5
