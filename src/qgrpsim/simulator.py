@@ -145,15 +145,11 @@ class _ProtocolEnv:
         self.sink_id = engine.topology.sink_id
         self.positions = {node.id: node.position for node in engine.topology.nodes}
         self.link_cost = engine.link_cost
+        self.log = engine.log_row
+        self.idle_fraction = engine.idle_fraction
         self.weights, self.mac, self.energy = cfg.weights, cfg.mac, cfg.energy
         self.hello, self.retry, self.pkt, self.aodv = cfg.hello, cfg.retry, cfg.pkt, cfg.aodv
         self.rng = engine.rng
-
-    def log(self, now, node_id, kind, *detail):
-        self._engine.log_row(now, node_id, kind, *detail)
-
-    def idle_fraction(self, node_id, now):
-        return self._engine.idle_fraction(node_id, now)
 
     def residual(self, node_id):
         return self._engine.nodes[node_id].energy.residual
@@ -545,24 +541,26 @@ def run_scenario(cfg, seed: int | None = None) -> RunResult:
 
 # Rows rendered per chunk by format_log: one chunk's row strings are alive at a time.
 _FORMAT_CHUNK_ROWS = 4096
-# A 7-field row (an rx row, in practice) with its time and joules already rendered.
-_RX_TEMPLATE = "%s,%r,%r,%r,%r,%r,%s\n"
 
 
 def format_log(event_log: list[tuple]) -> str:
     """Render the event log as newline-delimited comma-joined records.
 
     Each row renders as ",".join(map(repr, row)) + "\n"; an empty log renders
-    as a single newline.  The receptions of one broadcast share one time
-    object and those of one packet size one joules object, so a 7-field row
-    reuses the previous 7-field row's repr of either field when it holds the
-    very same object.
+    as a single newline.  The receptions of one broadcast share every field
+    but the receiver id (field 1) as the very same objects, so a 7-field row
+    is rendered as head + repr(receiver) + tail: the head, repr(time) + ",",
+    is rebuilt only when the time is not the previous 7-field row's time
+    object, and the tail, the reprs of fields 2-6 each led by a comma, only
+    when one of those five is not the previous 7-field row's object.  Fields
+    are matched by identity, so equal values with different reprs (0.0 and
+    -0.0, 1 and True) never share text.
     """
     if not event_log:
         return "\n"
     templates = {}  # by row length
-    prev_time = prev_joules = object()
-    time_repr = joules_repr = ""
+    prev_time = prev_kind = prev_pkt_kind = prev_bits = prev_from = prev_joules = object()
+    head = tail = ""
     chunks = []
     for i in range(0, len(event_log), _FORMAT_CHUNK_ROWS):
         lines = []
@@ -572,12 +570,14 @@ def format_log(event_log: list[tuple]) -> str:
                 t, node_id, kind, pkt_kind, bits, from_id, joules = row
                 if t is not prev_time:
                     prev_time = t
-                    time_repr = repr(t)
-                if joules is not prev_joules:
-                    prev_joules = joules
-                    joules_repr = repr(joules)
-                append(_RX_TEMPLATE % (time_repr, node_id, kind, pkt_kind, bits, from_id,
-                                       joules_repr))
+                    head = repr(t) + ","
+                if (joules is not prev_joules or from_id is not prev_from
+                        or bits is not prev_bits or pkt_kind is not prev_pkt_kind
+                        or kind is not prev_kind):
+                    prev_kind, prev_pkt_kind, prev_bits, prev_from, prev_joules = (
+                        kind, pkt_kind, bits, from_id, joules)
+                    tail = ",%r,%r,%r,%r,%r\n" % (kind, pkt_kind, bits, from_id, joules)
+                append(f"{head}{node_id!r}{tail}")
             else:
                 template = templates.get(len(row))
                 if template is None:

@@ -4,7 +4,7 @@ import statistics
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrpsim import simulator
@@ -352,12 +352,17 @@ LOG_VALUES = st.recursive(
 @st.composite
 def event_logs(draw):
     # Rows draw some fields from a small pool of objects, so the same object
-    # recurs across rows as one broadcast's time and one packet size's joules do.
+    # recurs across rows as one broadcast's time and one packet size's joules
+    # do.  A broadcast's receptions share every field but the receiver (field
+    # 1) as the very same objects; 7-field rows need not be rx rows.
     shared = st.sampled_from(draw(st.lists(LOG_VALUES, min_size=1, max_size=6)))
-    rx_row = st.tuples(shared, LOG_VALUES, st.just("rx"), LOG_VALUES, LOG_VALUES, LOG_VALUES,
-                       shared)
-    other_row = st.lists(shared | LOG_VALUES, max_size=11).map(tuple)
-    return draw(st.lists(rx_row | other_row, max_size=40))
+    field = shared | LOG_VALUES
+    broadcast = st.builds(lambda t, tail, receivers: [(t, r, *tail) for r in receivers],
+                          shared, st.tuples(st.just("rx") | field, field, field, field, shared),
+                          st.lists(LOG_VALUES, min_size=1, max_size=4))
+    other_row = st.lists(field, max_size=11).map(tuple)
+    groups = draw(st.lists(broadcast | other_row.map(lambda row: [row]), max_size=20))
+    return [row for group in groups for row in group]
 
 
 @given(event_logs())
@@ -365,16 +370,20 @@ def test_format_log_renders_each_row_as_its_reprs(log):
     assert format_log(log) == reference_format_log(log)
 
 
-@pytest.mark.parametrize("first, second", [(0.0, -0.0), (1.0, 1), (1, True)])
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (1.0, 1), (1, True), (160, 160.0)])
 @pytest.mark.parametrize("at_chunk_edge", [False, True])
 def test_format_log_keeps_alike_values_apart(first, second, at_chunk_edge):
-    pad = simulator._FORMAT_CHUNK_ROWS - 1 if at_chunk_edge else 0
-    log = ([(0.25, 0, "tx")] * pad
-           + [(first, 1, "rx", "hello", 160, 2, first), (second, 1, "rx", "hello", 160, 2, second)])
-    text = format_log(log)
-    assert text == reference_format_log(log)
-    assert text.endswith(f"{first!r},1,'rx','hello',160,2,{first!r}\n"
-                         f"{second!r},1,'rx','hello',160,2,{second!r}\n")
+    # In turn in the time and in each of the five fields after the receiver:
+    # two 7-field rows whose other fields are the very same objects.
+    base = (0.5, 1, "rx", "hello", 160, 2, 1e-06)
+    pad = [(0.25, 0, "tx")] * (simulator._FORMAT_CHUNK_ROWS - 1 if at_chunk_edge else 0)
+    for field in (0, 2, 3, 4, 5, 6):
+        rows = [base[:field] + (value,) + base[field + 1:] for value in (first, second)]
+        text = format_log(pad + rows)
+        assert text == reference_format_log(pad + rows)
+        first_line, second_line = text.splitlines()[-2:]
+        assert first_line.split(",")[field] == repr(first), field
+        assert second_line.split(",")[field] == repr(second), field
 
 
 def heavy_depletion_cfg(protocol="qgrp", energy="initial_j = 0.05\n"):
@@ -412,6 +421,40 @@ def test_energy_conservation_and_dead_node_silence(protocol):
     for node_id, idx in death_index.items():
         after = [r for r in log[idx + 1:] if r[1] == node_id and r[2] in ("tx", "rx")]
         assert after == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(["qgrp", "aodv"]), n=st.integers(2, 30),
+       seed=st.integers(0, 10**6), battery_j=st.none() | st.floats(0.02, 0.05),
+       free_amplifier=st.booleans(), flows=st.integers(0, 3))
+def test_each_node_spends_what_its_log_rows_charge(protocol, n, seed, battery_j,
+                                                   free_amplifier, flows):
+    # A free amplifier lets receivers die on a reception too (see RX_DEATHS).
+    energy = "[energy]\n"
+    if battery_j is not None:
+        energy += f"initial_j = {battery_j!r}\n"
+    if free_amplifier:
+        energy += "e_amp_j_per_bit_m2 = 0.0\n"
+    cfg = parse_config(
+        f"[topology]\nn = {n}\nseed = {seed}\nfield_width = 400.0\nfield_height = 400.0\n"
+        f"[protocol]\nname = {protocol}\n{energy}"
+        "[sim]\nduration_s = 4.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+        + "".join(f"[flow:{i}]\nrate_bps = 300000.0\nstart_s = 1.0\n"
+                  for i in range(1, flows + 1))
+    )
+    result = run_scenario(cfg)
+    initial = {}
+    spent = {}
+    for row in parse_log(format_log(result.event_log)):
+        if row[2] == "node":
+            initial[row[1]] = row[5]
+        elif row[2] == "tx":
+            spent[row[1]] = spent.get(row[1], 0.0) + row[7]
+        elif row[2] == "rx":
+            spent[row[1]] = spent.get(row[1], 0.0) + row[6]
+    assert sorted(initial) == sorted(node.id for node in result.engine.topology.nodes)
+    for node in result.engine.topology.nodes:
+        assert abs(initial[node.id] - node.energy.residual - spent.get(node.id, 0.0)) <= 1e-9
 
 
 # Free amplifier energy: a transmission costs what a reception does, so some
