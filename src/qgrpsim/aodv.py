@@ -11,8 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .actions import Broadcast, StartTimer, Unicast
-from .qgrp import Data
+from .actions import Broadcast, Data, StartTimer, Unicast, fail, hold
 
 
 @dataclass
@@ -64,7 +63,6 @@ class AodvNode:
     def __init__(self, node_id: int, env):
         self.id = node_id
         self.env = env
-        self.is_sink = node_id == env.sink_id
         self.routes: dict[int, AodvRouteEntry] = {}
         self.flows: dict[int, AodvFlow] = {}
         self.pending: dict[int, PendingDiscovery] = {}
@@ -188,29 +186,26 @@ class AodvNode:
 
     def _fail_flows(self, dest: int, now: float) -> list:
         for flow in self.flows.values():
-            if flow.destination != dest or flow.failed:
-                continue
-            flow.failed = True
-            while flow.buffered:
-                pkt = flow.buffered.popleft()
-                self.env.log(now, self.id, "drop", pkt.flow_id, pkt.sequence, "flow_failed")
-            self.env.log(now, self.id, "flow_failed", flow.flow_id)
+            if flow.destination == dest and not flow.failed:
+                fail(self, flow, now)
         return []
 
     # ----- data plane -----
 
+    def start_flow(self, flow_id: int, required_bandwidth: float, now: float) -> list:
+        """Open a flow toward the sink; discovery waits for its first packet."""
+        self.flows[flow_id] = AodvFlow(flow_id, self.env.sink_id)
+        return []
+
     def on_data_emit(self, flow_id: int, payload_bits: int, seq: int, now: float) -> list:
-        flow = self.flows.setdefault(flow_id, AodvFlow(flow_id, self.env.sink_id))
+        flow = self.flows[flow_id]
         pkt = Data(flow_id, payload_bits, now, seq)
         if flow.failed:
             self.env.log(now, self.id, "drop", flow_id, seq, "flow_failed")
             return []
         if self.valid_route(flow.destination, now) is not None:
             return self.forward_data(pkt, now)
-        if len(flow.buffered) >= self.env.retry.buffer_capacity:
-            old = flow.buffered.popleft()
-            self.env.log(now, self.id, "drop", flow_id, old.sequence, "buffer_overflow")
-        flow.buffered.append(pkt)
+        hold(self, flow, pkt, now)
         return self._ensure_discovery(flow.destination, now)
 
     def forward_data(self, pkt: Data, now: float) -> list:
@@ -223,10 +218,7 @@ class AodvNode:
             flow = self.flows.get(pkt.flow_id)
             if flow is not None and not flow.failed:
                 # Source-side: queue behind a fresh discovery.
-                if len(flow.buffered) >= self.env.retry.buffer_capacity:
-                    old = flow.buffered.popleft()
-                    self.env.log(now, self.id, "drop", pkt.flow_id, old.sequence, "buffer_overflow")
-                flow.buffered.append(pkt)
+                hold(self, flow, pkt, now)
                 return self._ensure_discovery(flow.destination, now)
             self.env.log(now, self.id, "drop", pkt.flow_id, pkt.sequence, "no_route")
             return []
@@ -243,11 +235,5 @@ class AodvNode:
         if isinstance(pkt, AodvRrep):
             return self._handle_rrep(pkt, from_id, now)
         if isinstance(pkt, Data):
-            if self.is_sink:
-                self.env.log(
-                    now, self.id, "deliver", pkt.flow_id, pkt.sequence, pkt.origin_timestamp,
-                    pkt.payload_size,
-                )
-                return []
             return self.forward_data(pkt, now)
         raise TypeError(f"unexpected packet {pkt!r}")

@@ -4,6 +4,12 @@ Per-node neighbor and forwarder management, the composite link metric,
 greedy unicast RREQ/RREP route establishment guarded by destination
 sequence numbers, and bandwidth admission control with notify-and-retry
 semantics.
+
+Hellos carry a sender's residual energy and idle fraction only: node
+positions come from `env.positions`.  The sequence-number guard is
+`is_fresher`, applied where an RREP installs a route.  A cache reply does
+not compare the requester's known sequence number, because an RREQ
+carries none.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .actions import Broadcast, StartTimer, Unicast
-from .geometry import Position, deviation_angle, distance, is_forward_progress
+from .actions import Broadcast, Data, StartTimer, Unicast, fail, hold
+from .geometry import deviation_angle, distance, is_forward_progress
 from .link_estimation import NeighborRecord, is_fresh, refresh_estimates
 from .params import FRACTION, check_params, param
 
@@ -24,20 +30,6 @@ MIN_METRIC_ANGLE = 0.01     # radians
 
 class MissingEstimateError(LookupError):
     """A metric was requested for a candidate without fresh link/energy data."""
-
-
-@dataclass
-class NodeEnergy:
-    """Residual and initial battery charge of one sensor, in joules."""
-
-    residual: float
-    initial: float
-
-    def __post_init__(self):
-        if self.initial <= 0:
-            raise ValueError(f"initial energy must be positive, got {self.initial}")
-        if not 0.0 <= self.residual <= self.initial:
-            raise ValueError(f"residual must lie in [0, initial], got {self.residual}")
 
 
 @dataclass(frozen=True)
@@ -67,20 +59,16 @@ class RouteEntry:
 @dataclass(frozen=True)
 class Hello:
     sender: int
-    position: Position
     residual_energy: float
     idle_fraction: float
-    seq: int
 
 
 @dataclass(frozen=True)
 class Rreq:
     flow_id: int
-    source: int
     destination: int
     required_bandwidth: float
     path_bandwidth_so_far: float
-    dest_seq_known: int
     retry_index: int
     hop_trace: tuple[int, ...]
 
@@ -98,14 +86,6 @@ class Rrep:
 class AdmissionNotify:
     flow_id: int
     max_grantable_bandwidth: float
-
-
-@dataclass(frozen=True)
-class Data:
-    flow_id: int
-    payload_size: int
-    origin_timestamp: float
-    sequence: int
 
 
 Packet = Hello | Rreq | Rrep | AdmissionNotify | Data
@@ -157,7 +137,6 @@ class QgrpNode:
         self.reservations: dict[int, Reservation] = {}
         self.reverse_hop: dict[int, int] = {}
         self.dest_seq = 0
-        self.hello_seq = 0
 
     # ----- hello plane -----
 
@@ -166,14 +145,7 @@ class QgrpNode:
         return [StartTimer(offset, "hello", ())]
 
     def _emit_hello(self, now: float) -> list:
-        self.hello_seq += 1
-        pkt = Hello(
-            self.id,
-            self.env.positions[self.id],
-            self.env.residual(self.id),
-            self.env.idle_fraction(self.id, now),
-            self.hello_seq,
-        )
+        pkt = Hello(self.id, self.env.residual(self.id), self.env.idle_fraction(self.id, now))
         jitter = self.env.hello.jitter
         gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
         return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
@@ -305,19 +277,10 @@ class QgrpNode:
             return self._apply_admission_rejection(flow, cap, now)
         est = self.estimates[nxt]
         self._reserve(flow.flow_id, nxt, flow.required_bandwidth, now, confirmed=False)
-        entry = self.routes.get(self.env.sink_id)
-        known = entry.dest_seq if entry is not None and entry.valid else 0
         flow.total_rreqs += 1
         retry_index = flow.total_rreqs - 1
         pkt = Rreq(
-            flow.flow_id,
-            self.id,
-            self.env.sink_id,
-            flow.required_bandwidth,
-            est,
-            known,
-            retry_index,
-            (self.id,),
+            flow.flow_id, self.env.sink_id, flow.required_bandwidth, est, retry_index, (self.id,)
         )
         self.env.log(now, self.id, "rreq_link", flow.flow_id, retry_index, nxt, est)
         flow.timer_gen += 1
@@ -470,12 +433,8 @@ class QgrpNode:
         return [StartTimer(delay, "rreq_retry", (flow.flow_id, flow.timer_gen))]
 
     def _fail_flow(self, flow: FlowState, now: float) -> list:
-        flow.failed = True
         self._release(flow.flow_id, now, "failed")
-        while flow.buffered:
-            pkt = flow.buffered.popleft()
-            self.env.log(now, self.id, "drop", pkt.flow_id, pkt.sequence, "flow_failed")
-        self.env.log(now, self.id, "flow_failed", flow.flow_id)
+        fail(self, flow, now)
         return []
 
     def on_timer(self, kind: str, payload: tuple, now: float) -> list:
@@ -501,10 +460,7 @@ class QgrpNode:
             self.env.log(now, self.id, "drop", flow_id, seq, "flow_failed")
             return []
         if not flow.admitted:
-            if len(flow.buffered) >= self.env.retry.buffer_capacity:
-                old = flow.buffered.popleft()
-                self.env.log(now, self.id, "drop", flow_id, old.sequence, "buffer_overflow")
-            flow.buffered.append(pkt)
+            hold(self, flow, pkt, now)
             return []
         return self.forward_data(pkt, now)
 
@@ -543,11 +499,5 @@ class QgrpNode:
         if isinstance(pkt, AdmissionNotify):
             return self.handle_admission_notify(pkt, from_id, now)
         if isinstance(pkt, Data):
-            if self.is_sink:
-                self.env.log(
-                    now, self.id, "deliver", pkt.flow_id, pkt.sequence, pkt.origin_timestamp,
-                    pkt.payload_size,
-                )
-                return []
             return self.forward_data(pkt, now)
         raise TypeError(f"unexpected packet {pkt!r}")

@@ -3,8 +3,10 @@
 Topology generation, the abstract channel/MAC (per-transmission loss and
 contention delay sampled from the analytical collision model), first-order
 radio energy accounting, traffic generation, and event scheduling for both
-protocols.  One run is strictly single-threaded; independent runs share no
-mutable state.
+protocols.  The engine logs a data packet's `origin` when its source emits
+it and its `deliver` when it reaches the sink; the protocol node routes it
+in between.  One run is strictly single-threaded; independent runs share
+no mutable state.
 """
 
 from __future__ import annotations
@@ -15,13 +17,13 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
-from .actions import Broadcast, StartTimer, Unicast
+from .actions import Broadcast, Data, StartTimer, Unicast
 from .aodv import AodvNode, AodvRrep, AodvRreq
 from .dcf import CollisionTable, DcfParams, build_table, lookup_p_c
 from .geometry import Position, distance
 from .link_estimation import mean_backoff_slots
 from .params import POSITIVE, check_params, param
-from .qgrp import AdmissionNotify, Data, Hello, NodeEnergy, QgrpNode, Rrep, Rreq
+from .qgrp import AdmissionNotify, Hello, QgrpNode, Rrep, Rreq
 
 # Event kinds.  An event is the flat record (time, sequence, kind, *payload),
 # dispatched in (time, sequence) order.
@@ -34,6 +36,22 @@ _TX_DONE = 4
 # Packet kind written to the log for each packet class.
 _PKT_KINDS = {cls: cls.__name__.lower()
               for cls in (Hello, Rreq, Rrep, AdmissionNotify, Data, AodvRreq, AodvRrep)}
+
+_NODE_CLASSES = {"qgrp": QgrpNode, "aodv": AodvNode}
+
+
+@dataclass
+class NodeEnergy:
+    """Residual and initial battery charge of one sensor, in joules."""
+
+    residual: float
+    initial: float
+
+    def __post_init__(self):
+        if self.initial <= 0:
+            raise ValueError(f"initial energy must be positive, got {self.initial}")
+        if not 0.0 <= self.residual <= self.initial:
+            raise ValueError(f"residual must lie in [0, initial], got {self.residual}")
 
 
 @dataclass
@@ -142,7 +160,7 @@ class _ProtocolEnv:
     def __init__(self, engine):
         self._engine = engine
         cfg = engine.cfg
-        self.sink_id = engine.topology.sink_id
+        self.sink_id = engine.sink_id
         self.positions = {node.id: node.position for node in engine.topology.nodes}
         self.link_cost = engine.link_cost
         self.log = engine.log_row
@@ -164,14 +182,15 @@ class Engine:
     def __init__(self, cfg, seed: int | None = None, table: CollisionTable | None = None):
         self.cfg = cfg
         self.seed = cfg.topology.seed if seed is None else seed
-        self.protocol = cfg.protocol
-        if self.protocol not in ("qgrp", "aodv"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
+        node_cls = _NODE_CLASSES.get(cfg.protocol)
+        if node_cls is None:
+            raise ValueError(f"unknown protocol {cfg.protocol!r}")
         topo = cfg.topology
         self.topology = generate_topology(
             topo.n, (topo.field_width, topo.field_height), topo.tx_range, self.seed,
             cfg.energy.initial,
         )
+        self.sink_id = self.topology.sink_id
         self.nodes = {node.id: node for node in self.topology.nodes}
         self.table = table if table is not None else build_table(
             cfg.dcf.table_densities, cfg.dcf.table_distances, cfg.dcf.params,
@@ -205,7 +224,6 @@ class Engine:
         self._settled_through = -1
         self._precompute_adjacency()
         self.env = _ProtocolEnv(self)
-        node_cls = QgrpNode if self.protocol == "qgrp" else AodvNode
         for node in self.topology.nodes:
             node.protocol = node_cls(node.id, self.env)
         self.flows = self._assign_sources(cfg.flows)
@@ -234,7 +252,7 @@ class Engine:
             node.cs_ids = tuple(sorted(sensed))
 
     def _assign_sources(self, flows) -> list[Flow]:
-        candidates = sorted(i for i in self.nodes if i != self.topology.sink_id)
+        candidates = sorted(i for i in self.nodes if i != self.sink_id)
         assigned = []
         for flow in flows:
             if flow.source is None:
@@ -452,6 +470,11 @@ class Engine:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
             return
+        # The id test comes first: it is the cheaper one, and most receptions fail it.
+        if to_id == self.sink_id and isinstance(pkt, Data):
+            self.log_row(now, to_id, "deliver", pkt.flow_id, pkt.sequence, pkt.origin_timestamp,
+                         pkt.payload_size)
+            return
         effects = node.protocol.on_packet(pkt, from_id, now)
         if effects:
             self._apply(node, effects, now)
@@ -473,16 +496,15 @@ class Engine:
         node = self.nodes[flow.source]
         if not node.alive:
             return
-        if self.protocol == "qgrp":
-            effects = node.protocol.start_flow(flow.flow_id, flow.required_bandwidth, now)
-            self._apply(node, effects, now)
+        effects = node.protocol.start_flow(flow.flow_id, flow.required_bandwidth, now)
+        self._apply(node, effects, now)
 
     # ----- run -----
 
     def run(self):
         cfg = self.cfg
         for node in self.topology.nodes:
-            role = "sink" if node.id == self.topology.sink_id else "sensor"
+            role = "sink" if node.id == self.sink_id else "sensor"
             self.log_row(0.0, node.id, "node", node.position.x, node.position.y,
                          node.energy.initial, role)
         for flow in self.flows:

@@ -9,11 +9,10 @@ from pathlib import Path
 import pytest
 
 import qgrpsim
-from qgrpsim.actions import Broadcast, Unicast
+from qgrpsim.actions import Broadcast, Data, Unicast
 from qgrpsim.aodv import AodvNode, AodvRrep, AodvRreq
 from qgrpsim.config import parse_config
 from qgrpsim.geometry import Position, distance
-from qgrpsim.qgrp import Data
 from qgrpsim.simulator import Engine
 from conftest import constant_table
 
@@ -28,6 +27,7 @@ def line_env():
 def test_line_discovery_via_middle_node():
     env = line_env()
     a, b, c = (AodvNode(i, env) for i in range(3))
+    assert a.start_flow(5, 1e5, 1.0) == []  # discovery waits for the first packet
     effects = a.on_data_emit(5, 2000, 0, 1.0)
     rreq = next(e.packet for e in effects if isinstance(e, Broadcast))
     assert rreq.hop_count == 0
@@ -77,6 +77,7 @@ def test_route_install_prefers_seq_then_hops():
 def test_discovery_timeout_retries_then_fails():
     env = StubEnv({0: Position(0, 0), 2: Position(900, 0)}, sink_id=2)
     node = AodvNode(0, env)
+    node.start_flow(5, 1e5, 1.0)
     node.on_data_emit(5, 2000, 0, 1.0)
     pending = node.pending[2]
     for retry in range(env.retry.max_retries):

@@ -1,4 +1,4 @@
-"""Pinned event logs of three small runs.
+"""Pinned event logs of five small runs.
 
 Any change to the simulated behaviour, or to the float arithmetic behind
 it, changes these digests.  A change that means to alter the logs
@@ -45,8 +45,42 @@ def test_short_idle_window_digest_is_pinned():
         "576f592798c33d44d80ac298b27e84673a981b1385321c1349fce4862aec8c53")
 
 
+def data_plane_cfg(protocol):
+    # Tight batteries, buffers and queues under the reduce policy with one retry.  Seed 2
+    # drops data for buffer_overflow, flow_failed, queue_full and dead_receiver on both
+    # protocols, and QGRP fails a flow on an admission rejection.
+    return parse_config(
+        "[topology]\nn = 30\nseed = 2\n"
+        f"[protocol]\nname = {protocol}\n"
+        "[energy]\ninitial_j = 0.05\n"
+        "[retry]\npolicy = reduce\nmax_retries = 1\nbuffer_capacity = 3\n"
+        "[mac]\nqueue_limit = 2\n"
+        "[sim]\nduration_s = 8.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 600000.0\nstart_s = 1.0\n"
+        "[flow:2]\nrate_bps = 900000.0\nstart_s = 1.5\n"
+        "[flow:3]\nrate_bps = 400000.0\nstart_s = 2.0\n"
+    )
+
+
+@pytest.mark.parametrize("protocol, digest", [
+    ("qgrp", "a14f01f060c333b21fcece0fee53c419a36dcc6321a51577e3d67cc749a74629"),
+    ("aodv", "40d6da209ec7208e6e81697f81ec3f26f61b292bb71e40407e1d0a523c210fc6"),
+])
+def test_data_plane_digest_is_pinned(protocol, digest):
+    log = Engine(data_plane_cfg(protocol)).run().event_log
+    drops = {row[5] for row in log if row[2] == "drop"}
+    assert {"buffer_overflow", "flow_failed", "queue_full", "dead_receiver"} <= drops
+    assert any(row[2] == "flow_failed" for row in log)
+    if protocol == "qgrp":
+        assert any(row[2] == "admission_reject" for row in log)
+    assert digest_of(log) == digest
+
+
 def log_digest(cfg, table):
-    log = Engine(cfg, table=table).run().event_log
+    return digest_of(Engine(cfg, table=table).run().event_log)
+
+
+def digest_of(log):
     text = format_log(log)
     # A digest pins the renderer too: one that breaks the repr contract must fail
     # here rather than be re-recorded.

@@ -5,24 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrpsim.actions import StartTimer, Unicast
+from qgrpsim.actions import Data, StartTimer, Unicast
 from qgrpsim.config import parse_config
 from qgrpsim.geometry import Position, distance, is_forward_progress
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.qgrp import (
     AdmissionNotify,
-    Data,
     Hello,
     MetricWeights,
     MissingEstimateError,
-    NodeEnergy,
     QgrpNode,
     Rrep,
     RouteEntry,
     Rreq,
     is_fresher,
 )
-from qgrpsim.simulator import build_link_cost
+from qgrpsim.simulator import NodeEnergy, build_link_cost
 
 IDLE_FACTOR = 160 / 191  # 1 - backoff overhead at p_c = 0
 B_NO = 2e6
@@ -63,8 +61,8 @@ class StubEnv:
         return [r for r in self.rows if r[2] == kind]
 
 
-def hello_into(node, peer, pos, now, idle=1.0, energy=40.0, seq=1):
-    node.on_hello(Hello(peer, pos, energy, idle, seq), now)
+def hello_into(node, peer, now, idle=1.0, energy=40.0):
+    node.on_hello(Hello(peer, energy, idle), now)
 
 
 def expected_estimate(peer_idle, local_idle=1.0):
@@ -92,7 +90,7 @@ def test_forwarder_set_empty_without_neighbors():
 def test_forwarder_set_angle_filter_drops_backward_neighbor():
     env = StubEnv({0: Position(0, 0), 1: Position(-100, 0), 9: Position(500, 0)}, sink_id=9)
     node = QgrpNode(0, env)
-    hello_into(node, 1, env.positions[1], 0.9)
+    hello_into(node, 1, 0.9)
     assert node.forwarder_set(1e3, 1.0) == set()
 
 
@@ -106,7 +104,7 @@ def test_forwarder_set_matches_brute_force_filter():
     idles = {}
     for peer in range(1, 25):
         idles[peer] = rng.uniform(0.0, 1.0)
-        hello_into(node, peer, positions[peer], 0.9, idle=idles[peer])
+        hello_into(node, peer, 0.9, idle=idles[peer])
     required = 0.6e6
     got = node.forwarder_set(required, 1.0)
 
@@ -130,7 +128,7 @@ def test_forwarder_set_monotone_in_requirement(b1, b2, seed):
     env = StubEnv(positions, sink_id=50)
     node = QgrpNode(0, env)
     for peer in range(1, 12):
-        hello_into(node, peer, positions[peer], 0.5, idle=rng.uniform(0.0, 1.0))
+        hello_into(node, peer, 0.5, idle=rng.uniform(0.0, 1.0))
     assert node.forwarder_set(hi, 1.0) <= node.forwarder_set(lo, 1.0)
 
 
@@ -250,7 +248,7 @@ def line_env(policy="retry"):
 def test_sink_replies_with_incremented_sequence():
     env = line_env()
     sink = QgrpNode(3, env)
-    pkt = Rreq(11, 0, 3, 0.5e6, 1.4e6, 0, 0, (0, 1, 2))
+    pkt = Rreq(11, 3, 0.5e6, 1.4e6, 0, (0, 1, 2))
     out = sink.handle_rreq(pkt, 2, 4.0)
     assert sink.dest_seq == 1
     (effect,) = out
@@ -259,7 +257,7 @@ def test_sink_replies_with_incremented_sequence():
     assert rrep.dest_seq == 1
     assert rrep.path_bandwidth == 1.4e6
     assert rrep.hop_trace == (0, 1, 2, 3)
-    out2 = sink.handle_rreq(Rreq(12, 0, 3, 0.5e6, 1.0e6, 0, 0, (0, 1)), 1, 5.0)
+    out2 = sink.handle_rreq(Rreq(12, 3, 0.5e6, 1.0e6, 0, (0, 1)), 1, 5.0)
     assert out2[0].packet.dest_seq == 2
 
 
@@ -267,7 +265,7 @@ def test_intermediate_forwards_with_min_accumulation():
     env = line_env()
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 0.9e6})
-    pkt = Rreq(11, 0, 3, 0.5e6, 1.5e6, 0, 0, (0,))
+    pkt = Rreq(11, 3, 0.5e6, 1.5e6, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
     assert isinstance(effect, Unicast) and effect.to == 2
     fwd = effect.packet
@@ -284,7 +282,7 @@ def test_cached_route_reply_uses_stored_bandwidth():
     pin_estimates(node, 4.0, {2: 1.6e6})
     node.handle_rrep(Rrep(5, 3, 4, 1.1e6, (0, 1, 2, 3)), 2, 4.0)
     assert node.routes[3].path_bandwidth == 1.1e6
-    pkt = Rreq(12, 0, 3, 0.5e6, 0.8e6, 0, 0, (0,))
+    pkt = Rreq(12, 3, 0.5e6, 0.8e6, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
     rrep = effect.packet
     assert isinstance(rrep, Rrep)
@@ -301,7 +299,7 @@ def test_rejection_notifies_with_max_grantable():
     )
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 0.3e6})
-    pkt = Rreq(21, 0, 9, 0.5e6, 1.2e6, 0, 0, (0,))
+    pkt = Rreq(21, 9, 0.5e6, 1.2e6, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
     notify = effect.packet
     assert isinstance(notify, AdmissionNotify)
@@ -313,7 +311,7 @@ def test_rejection_notifies_with_max_grantable():
 def test_loop_witness_drops_and_counts():
     env = line_env()
     node = QgrpNode(1, env)
-    pkt = Rreq(30, 0, 3, 0.5e6, 1.0e6, 0, 0, (0, 1, 2))
+    pkt = Rreq(30, 3, 0.5e6, 1.0e6, 0, (0, 1, 2))
     assert node.handle_rreq(pkt, 2, 4.0) == []
     assert len(env.rows_of("loop_witness")) == 1
 
@@ -327,7 +325,7 @@ def test_forwarding_excludes_nodes_already_in_trace():
     )
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 1.8e6})
-    pkt = Rreq(31, 0, 9, 0.5e6, 1.0e6, 0, 0, (0, 2))
+    pkt = Rreq(31, 9, 0.5e6, 1.0e6, 0, (0, 2))
     (effect,) = node.handle_rreq(pkt, 2, 4.0)
     assert isinstance(effect.packet, AdmissionNotify)
     assert env.rows_of("loop_witness") == []
@@ -517,7 +515,7 @@ def test_hello_freshness_boundary(past_expiry, fresh):
     """A hello exactly hello_expiry old is fresh for estimates and data alike; older is stale."""
     env = line_env()
     node = QgrpNode(0, env)
-    hello_into(node, 1, env.positions[1], 2.0)
+    hello_into(node, 1, 2.0)
     node.routes[3] = RouteEntry(3, 1, 1, 1.0e6)
     now = 2.0 + env.hello.expiry + past_expiry
     out = node.forward_data(Data(55, 2000, now, 0), now)
@@ -525,14 +523,6 @@ def test_hello_freshness_boundary(past_expiry, fresh):
     assert node.routes[3].valid is fresh
     node.refresh(now)
     assert (1 in node.estimates) is fresh
-
-
-def test_sink_logs_delivery():
-    env = line_env()
-    sink = QgrpNode(3, env)
-    sink.on_packet(Data(55, 2000, 4.0, 7), 2, 4.5)
-    (row,) = env.rows_of("deliver")
-    assert row[3:] == (55, 7, 4.0, 2000)
 
 
 def test_node_energy_and_weights_validation():

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrpsim import simulator
+from qgrpsim.actions import Data
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
 from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
-from qgrpsim.qgrp import Data, Hello
+from qgrpsim.qgrp import Hello
 from qgrpsim.simulator import (
     Engine,
     build_link_cost,
@@ -212,7 +213,7 @@ def always_lost_engine():
     return engine
 
 
-@pytest.mark.parametrize("pkt", [Data(1, 2000, 0.0, 9), Hello(0, None, 1.0, 1.0, 3)])
+@pytest.mark.parametrize("pkt", [Data(1, 2000, 0.0, 9), Hello(0, 1.0, 1.0)])
 def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
     engine = always_lost_engine()
     receiver = engine.topology.nodes[1]
@@ -509,6 +510,41 @@ def test_log_round_trip_with_deaths(protocol, energy):
     log = run_scenario(heavy_depletion_cfg(protocol, energy)).event_log
     assert "death" in {row[2] for row in log}
     assert parse_log(format_log(log)) == log
+
+
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_engine_logs_delivery_right_after_the_sinks_reception(protocol):
+    cfg = heavy_depletion_cfg(protocol)
+    log = run_scenario(cfg).event_log
+    sink = next(row[1] for row in log if row[2] == "node" and row[6] == "sink")
+    delivered = [i for i, row in enumerate(log) if row[2] == "deliver"]
+    assert delivered
+    for i in delivered:
+        deliver, rx = log[i], log[i - 1]
+        assert deliver[1] == sink
+        assert rx[:5] == (deliver[0], sink, "rx", "data", cfg.pkt.data_header + deliver[6])
+    for row, following in zip(log, log[1:]):
+        if row[2] == "rx" and row[1] == sink and row[3] == "data":
+            assert following[2] in ("deliver", "death")
+
+
+@pytest.mark.parametrize("killed", [False, True])
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_sink_reception_never_reaches_the_protocol(protocol, killed):
+    engine = Engine(heavy_depletion_cfg(protocol))
+    sink = engine.nodes[engine.sink_id]
+    sink.protocol.on_packet = lambda *args: pytest.fail("the sink's protocol saw its data")
+    bits = 2160
+    if killed:
+        sink.energy.residual = 0.5 * radio_rx_energy(bits, engine.cfg.energy.e_elec)
+    sender = next(i for i in engine.nodes if i != sink.id)
+    engine._on_arrival(sink.id, sender, Data(1, 2000, 0.5, 4), bits, 2.0)
+    rx, *rest = engine.event_log
+    assert rx[:6] == (2.0, sink.id, "rx", "data", bits, sender)
+    if killed:
+        assert rest == [(2.0, sink.id, "death"), (2.0, sink.id, "drop", 1, 4, "dead_receiver")]
+    else:
+        assert rest == [(2.0, sink.id, "deliver", 1, 4, 0.5, 2000)]
 
 
 def test_queue_limit_drops_excess_data():
