@@ -52,7 +52,6 @@ class AodvFlow:
 
 @dataclass
 class PendingDiscovery:
-    destination: int
     retries_used: int = 0
     timer_gen: int = 0
 
@@ -107,7 +106,7 @@ class AodvNode:
     def _ensure_discovery(self, dest: int, now: float) -> list:
         if dest in self.pending:
             return []
-        self.pending[dest] = PendingDiscovery(dest)
+        self.pending[dest] = PendingDiscovery()
         return self._emit_rreq(dest, now)
 
     def _emit_rreq(self, dest: int, now: float) -> list:

@@ -5,6 +5,10 @@ greedy unicast RREQ/RREP route establishment guarded by destination
 sequence numbers, and bandwidth admission control with notify-and-retry
 semantics.
 
+Each route-control rule has one writer: `_extend` is the RREQ hop, and a
+source's RREQ is that relay step applied to an empty trace; `_fits` is the
+admission test, `_reply` the RREP origin and `_retry` the retry budget.
+
 Hellos carry a sender's residual energy and idle fraction only: node
 positions come from `env.positions`.  The sequence-number guard is
 `is_fresher`, applied where an RREP installs a route.  A cache reply does
@@ -208,6 +212,8 @@ class QgrpNode:
 
     def _candidates(self, now: float, exclude):
         """Fresh neighbors, outside exclude, offering forward progress, with their estimates."""
+        if self.is_sink:
+            return  # the sink forwards nothing; refresh would log expired releases
         self.refresh(now)
         my_pos = self.env.positions[self.id]
         sink_pos = self.env.positions[self.env.sink_id]
@@ -220,14 +226,14 @@ class QgrpNode:
             if is_forward_progress(my_pos, peer_pos, sink_pos):
                 yield peer, bw
 
+    def _fits(self, peer: int, required_bandwidth: float) -> bool:
+        """Admission test: the link to peer carries the flow on top of all reserved toward it."""
+        return self.reserved_toward(peer) + required_bandwidth <= self.estimates[peer]
+
     def forwarder_set(self, required_bandwidth: float, now: float, exclude=()) -> set[int]:
         """Neighbors offering forward progress and enough spare bandwidth."""
-        if self.is_sink:
-            return set()
-        return {
-            peer for peer, bw in self._candidates(now, exclude)
-            if self.reserved_toward(peer) + required_bandwidth <= bw
-        }
+        candidates = self._candidates(now, exclude)
+        return {peer for peer, _ in candidates if self._fits(peer, required_bandwidth)}
 
     def link_metric(self, candidate: int, now: float) -> float:
         """Composite score: weighted bandwidth/energy ratios over (distance * deviation)."""
@@ -254,10 +260,8 @@ class QgrpNode:
             return None
         return max(sorted(candidates), key=lambda peer: self.link_metric(peer, now))
 
-    def _max_grantable(self, now: float, exclude=()) -> float:
+    def _max_grantable(self, now: float, exclude) -> float:
         """Largest requirement for which the forwarder set would be non-empty."""
-        if self.is_sink:
-            return 0.0
         best = 0.0
         for peer, bw in self._candidates(now, exclude):
             best = max(best, bw - self.reserved_toward(peer))
@@ -271,44 +275,46 @@ class QgrpNode:
         return self._emit_rreq(flow, now)
 
     def _emit_rreq(self, flow: FlowState, now: float) -> list:
-        nxt = self.select_next_hop(flow.required_bandwidth, now, exclude=(self.id,))
-        if nxt is None:
-            cap = self._max_grantable(now, exclude=(self.id,))
-            return self._apply_admission_rejection(flow, cap, now)
-        est = self.estimates[nxt]
-        self._reserve(flow.flow_id, nxt, flow.required_bandwidth, now, confirmed=False)
-        flow.total_rreqs += 1
-        retry_index = flow.total_rreqs - 1
         pkt = Rreq(
-            flow.flow_id, self.env.sink_id, flow.required_bandwidth, est, retry_index, (self.id,)
+            flow.flow_id, self.env.sink_id, flow.required_bandwidth, math.inf, flow.total_rreqs, ()
         )
-        self.env.log(now, self.id, "rreq_link", flow.flow_id, retry_index, nxt, est)
+        step = self._extend(pkt, now)
+        if isinstance(step, AdmissionNotify):
+            return self._apply_admission_rejection(flow, step.max_grantable_bandwidth, now)
+        flow.total_rreqs += 1
         flow.timer_gen += 1
-        return [
-            Unicast(nxt, pkt, self.env.pkt.rreq),
-            StartTimer(self.env.retry.rrep_wait, "rreq_timeout", (flow.flow_id, flow.timer_gen)),
-        ]
+        timeout = (flow.flow_id, flow.timer_gen)
+        return [step, StartTimer(self.env.retry.rrep_wait, "rreq_timeout", timeout)]
+
+    def _extend(self, pkt: Rreq, now: float) -> Unicast | AdmissionNotify:
+        """One RREQ hop: forward pkt over a reserved next hop off its trace, or reject it."""
+        exclude = {*pkt.hop_trace, self.id}
+        nxt = self.select_next_hop(pkt.required_bandwidth, now, exclude=exclude)
+        if nxt is None:
+            return AdmissionNotify(pkt.flow_id, self._max_grantable(now, exclude))
+        est = self.estimates[nxt]
+        self._reserve(pkt.flow_id, nxt, pkt.required_bandwidth, now, confirmed=False)
+        self.env.log(now, self.id, "rreq_link", pkt.flow_id, pkt.retry_index, nxt, est)
+        bw = min(pkt.path_bandwidth_so_far, est)
+        fwd = replace(pkt, path_bandwidth_so_far=bw, hop_trace=pkt.hop_trace + (self.id,))
+        return Unicast(nxt, fwd, self.env.pkt.rreq)
+
+    def _reply(self, pkt: Rreq, from_id: int, dest_seq: int, bw: float, now: float) -> list:
+        """Originate the RREP answering pkt, back along its trace extended by this node."""
+        rrep = Rrep(pkt.flow_id, pkt.destination, dest_seq, bw, pkt.hop_trace + (self.id,))
+        self.env.log(now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, bw)
+        return [Unicast(from_id, rrep, self.env.pkt.rrep)]
 
     def handle_rreq(self, pkt: Rreq, from_id: int, now: float) -> list:
         self.reverse_hop[pkt.flow_id] = from_id
         if self.id in pkt.hop_trace:
-            # Loop witness; trace exclusion below must keep this unreachable.
+            # Loop witness; trace exclusion in _extend must keep this unreachable.
             self.env.log(now, self.id, "loop_witness", pkt.flow_id, pkt.retry_index)
             return []
 
         if self.is_sink and self.id == pkt.destination:
             self.dest_seq += 1
-            rrep = Rrep(
-                pkt.flow_id,
-                self.id,
-                self.dest_seq,
-                pkt.path_bandwidth_so_far,
-                pkt.hop_trace + (self.id,),
-            )
-            self.env.log(
-                now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, rrep.path_bandwidth
-            )
-            return [Unicast(from_id, rrep, self.env.pkt.rrep)]
+            return self._reply(pkt, from_id, self.dest_seq, pkt.path_bandwidth_so_far, now)
 
         self.refresh(now)
         entry = self.routes.get(pkt.destination)
@@ -316,42 +322,24 @@ class QgrpNode:
             entry is not None
             and entry.valid
             and entry.next_hop in self.estimates
-            and self.reserved_toward(entry.next_hop) + pkt.required_bandwidth
-            <= self.estimates[entry.next_hop]
+            and self._fits(entry.next_hop, pkt.required_bandwidth)
         ):
             # Answer from the cached route; its own first link must still
-            # carry this flow, so the bandwidth check above is required for
+            # carry this flow, so the admission test above is required for
             # admission soundness.
             self._reserve(pkt.flow_id, entry.next_hop, pkt.required_bandwidth, now, confirmed=True)
-            bw = min(pkt.path_bandwidth_so_far, entry.path_bandwidth)
             self.env.log(
                 now, self.id, "cache_reply", pkt.flow_id, pkt.retry_index, entry.path_bandwidth
             )
-            rrep = Rrep(
-                pkt.flow_id, pkt.destination, entry.dest_seq, bw,
-                pkt.hop_trace + (self.id,),
-            )
-            self.env.log(now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, bw)
-            return [Unicast(from_id, rrep, self.env.pkt.rrep)]
+            bw = min(pkt.path_bandwidth_so_far, entry.path_bandwidth)
+            return self._reply(pkt, from_id, entry.dest_seq, bw, now)
 
-        exclude = set(pkt.hop_trace)
-        exclude.add(self.id)
-        nxt = self.select_next_hop(pkt.required_bandwidth, now, exclude=exclude)
-        if nxt is not None:
-            est = self.estimates[nxt]
-            self._reserve(pkt.flow_id, nxt, pkt.required_bandwidth, now, confirmed=False)
-            self.env.log(now, self.id, "rreq_link", pkt.flow_id, pkt.retry_index, nxt, est)
-            fwd = replace(
-                pkt,
-                path_bandwidth_so_far=min(pkt.path_bandwidth_so_far, est),
-                hop_trace=pkt.hop_trace + (self.id,),
-            )
-            return [Unicast(nxt, fwd, self.env.pkt.rreq)]
-
-        cap = self._max_grantable(now, exclude=exclude)
+        step = self._extend(pkt, now)
+        if isinstance(step, Unicast):
+            return [step]
+        cap = step.max_grantable_bandwidth
         self.env.log(now, self.id, "admission_reject", pkt.flow_id, pkt.retry_index, cap)
-        notify = AdmissionNotify(pkt.flow_id, cap)
-        return [Unicast(from_id, notify, self.env.pkt.notify)]
+        return [Unicast(from_id, step, self.env.pkt.notify)]
 
     def handle_rrep(self, pkt: Rrep, from_id: int, now: float) -> list:
         trace = pkt.hop_trace
@@ -360,27 +348,24 @@ class QgrpNode:
         except ValueError:
             return []
 
-        entry = self.routes.get(pkt.destination)
-        if idx + 1 < len(trace) and (
-            entry is None
-            or not entry.valid
-            or is_fresher(pkt.dest_seq, pkt.path_bandwidth, entry.dest_seq, entry.path_bandwidth)
-        ):
-            next_hop = trace[idx + 1]
-            self.routes[pkt.destination] = RouteEntry(
-                pkt.destination, next_hop, pkt.dest_seq, pkt.path_bandwidth
-            )
-            self.env.log(
-                now, self.id, "route_install", pkt.destination, next_hop, pkt.dest_seq,
-                pkt.path_bandwidth,
-            )
-
         if idx + 1 < len(trace):
+            next_hop = trace[idx + 1]
+            entry = self.routes.get(pkt.destination)
+            if entry is None or not entry.valid or is_fresher(
+                pkt.dest_seq, pkt.path_bandwidth, entry.dest_seq, entry.path_bandwidth
+            ):
+                self.routes[pkt.destination] = RouteEntry(
+                    pkt.destination, next_hop, pkt.dest_seq, pkt.path_bandwidth
+                )
+                self.env.log(
+                    now, self.id, "route_install", pkt.destination, next_hop, pkt.dest_seq,
+                    pkt.path_bandwidth,
+                )
             res = self.reservations.get(pkt.flow_id)
             if res is not None:
                 self.refresh(now)
-                if trace[idx + 1] in self.estimates:
-                    self._reserve(pkt.flow_id, trace[idx + 1], res.bandwidth, now, confirmed=True)
+                if next_hop in self.estimates:
+                    self._reserve(pkt.flow_id, next_hop, res.bandwidth, now, confirmed=True)
 
         if idx == 0:
             return self._admit_locally(pkt, now)
@@ -405,13 +390,12 @@ class QgrpNode:
 
     def handle_admission_notify(self, pkt: AdmissionNotify, from_id: int, now: float) -> list:
         flow = self.flows.get(pkt.flow_id)
+        if flow is not None and (flow.admitted or flow.failed):
+            return []
+        self._release(pkt.flow_id, now, "rejected")
         if flow is not None:
-            if flow.admitted or flow.failed:
-                return []
-            self._release(pkt.flow_id, now, "rejected")
             flow.timer_gen += 1
             return self._apply_admission_rejection(flow, pkt.max_grantable_bandwidth, now)
-        self._release(pkt.flow_id, now, "rejected")
         prev = self.reverse_hop.get(pkt.flow_id)
         if prev is None:
             return []
@@ -419,18 +403,23 @@ class QgrpNode:
 
     def _apply_admission_rejection(self, flow: FlowState, max_grantable: float, now: float) -> list:
         flow.max_grantable_seen = min(flow.max_grantable_seen, max_grantable)
-        if self.env.retry.policy == "reduce":
-            if (flow.rreq_retries_used >= self.env.retry.max_retries
-                    or flow.max_grantable_seen <= 0.0):
-                return self._fail_flow(flow, now)
-            flow.required_bandwidth = flow.max_grantable_seen
-            flow.rreq_retries_used += 1
-            return self._emit_rreq(flow, now)
+        if self.env.retry.policy == "retry":
+            delay = self.env.retry.backoff * (2**flow.rreq_retries_used)
+            return self._retry(flow, now, delay)
+        if flow.max_grantable_seen <= 0.0:
+            return self._fail_flow(flow, now)
+        flow.required_bandwidth = flow.max_grantable_seen
+        return self._retry(flow, now)
+
+    def _retry(self, flow: FlowState, now: float, delay: float = 0.0) -> list:
+        """Spend a retry on a fresh RREQ, after delay if one is given, or fail if none is left."""
         if flow.rreq_retries_used >= self.env.retry.max_retries:
             return self._fail_flow(flow, now)
-        delay = self.env.retry.backoff * (2**flow.rreq_retries_used)
-        flow.timer_gen += 1
-        return [StartTimer(delay, "rreq_retry", (flow.flow_id, flow.timer_gen))]
+        if delay:
+            flow.timer_gen += 1
+            return [StartTimer(delay, "rreq_retry", (flow.flow_id, flow.timer_gen))]
+        flow.rreq_retries_used += 1
+        return self._emit_rreq(flow, now)
 
     def _fail_flow(self, flow: FlowState, now: float) -> list:
         self._release(flow.flow_id, now, "failed")
@@ -445,10 +434,7 @@ class QgrpNode:
             flow = self.flows.get(flow_id)
             if flow is None or flow.admitted or flow.failed or flow.timer_gen != gen:
                 return []
-            if flow.rreq_retries_used >= self.env.retry.max_retries:
-                return self._fail_flow(flow, now)
-            flow.rreq_retries_used += 1
-            return self._emit_rreq(flow, now)
+            return self._retry(flow, now)
         raise ValueError(f"unknown timer kind {kind!r}")
 
     # ----- data plane -----
@@ -478,7 +464,6 @@ class QgrpNode:
                 # Source lost its route; start a fresh establishment episode.
                 flow.admitted = False
                 flow.rreq_retries_used = 0
-                flow.timer_gen += 1
                 return self._emit_rreq(flow, now)
             return []
         res = self.reservations.get(pkt.flow_id)

@@ -1,4 +1,4 @@
-"""Pinned event logs of five small runs.
+"""Pinned event logs of seven small runs.
 
 Any change to the simulated behaviour, or to the float arithmetic behind
 it, changes these digests.  A change that means to alter the logs
@@ -86,3 +86,35 @@ def digest_of(log):
     # here rather than be re-recorded.
     assert text == reference_format_log(log)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def control_plane_cfg(seed):
+    # Flows too heavy for many links, under the retry policy with one retry.  Seed 2
+    # answers an RREQ from a cached route; seed 6 rejects an RREQ, releases reservations
+    # as rejected and failed, re-requests with a positive retry index and fails flows.
+    return parse_config(
+        f"[topology]\nn = 30\nseed = {seed}\n"
+        "[protocol]\nname = qgrp\n"
+        "[retry]\npolicy = retry\nmax_retries = 1\n"
+        "[sim]\nduration_s = 12.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 600000.0\nstart_s = 1.0\n"
+        "[flow:2]\nrate_bps = 900000.0\nstart_s = 1.5\n"
+        "[flow:3]\nrate_bps = 400000.0\nstart_s = 2.0\n"
+    )
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (2, "1e634fda0cbdb2bd90f65e3a577f80e77a8923f8366e5fdb2dc4d13a636f9c8c"),
+    (6, "14f2937d2d01fb1cc63c8cf37e99fc86934a8cec6d67be8d9c97459278560569"),
+])
+def test_control_plane_digest_is_pinned(seed, digest):
+    log = Engine(control_plane_cfg(seed)).run().event_log
+    kinds = {row[2] for row in log}
+    if seed == 2:
+        assert "cache_reply" in kinds
+    else:
+        assert {"admission_reject", "flow_failed"} <= kinds
+        releases = {row[6] for row in log if row[2] == "release"}
+        assert {"rejected", "failed"} <= releases
+        assert any(row[2] == "rreq_link" and row[4] > 0 for row in log)
+    assert digest_of(log) == digest

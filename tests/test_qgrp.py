@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -471,6 +472,48 @@ def test_retry_recomputes_next_hop_after_neighbor_change():
     out = node.on_timer("rreq_timeout", (66, node.flows[66].timer_gen), 2.6)
     second = next(e for e in out if isinstance(e, Unicast))
     assert second.to == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["retry", "reduce"]),
+    st.integers(0, 3),
+    st.lists(st.one_of(
+        st.tuples(st.just("timer"), st.integers(0, 7)),
+        st.tuples(st.just("notify"), st.sampled_from([0.0, 0.2e6, 0.5e6])),
+        st.tuples(st.just("hello"), st.sampled_from([0.2, 0.4, 1.0])),
+    ), max_size=16),
+)
+def test_source_spends_at_most_its_retry_budget(policy, max_retries, steps):
+    # Any mix of fired timers (live or stale), notifies and next-hop estimate changes:
+    # a peer idle fraction of 0.4 leaves room for the flow only while the source holds
+    # no reservation of its own, 0.2 for none of it.
+    env = line_env(policy)
+    env.retry = replace(env.retry, max_retries=max_retries)
+    node = QgrpNode(0, env)
+    hello_into(node, 1, 1.0, idle=0.4)
+    now = 1.0
+    effects = node.start_flow(55, 0.5e6, now)
+    sent, timers = [], []
+    for action, arg in steps:
+        sent += [e.packet for e in effects if isinstance(e, Unicast)]
+        timers += [e for e in effects if isinstance(e, StartTimer)]
+        effects = []
+        now += 0.1
+        if action == "timer" and timers:
+            timer = timers.pop(arg % len(timers))
+            effects = node.on_timer(timer.kind, timer.payload, now)
+        elif action == "notify":
+            effects = node.handle_admission_notify(AdmissionNotify(55, arg), 1, now)
+        elif action == "hello":
+            hello_into(node, 1, now, idle=arg)
+    sent += [e.packet for e in effects if isinstance(e, Unicast)]
+
+    assert all(isinstance(pkt, Rreq) for pkt in sent)
+    assert len(sent) <= max_retries + 1
+    assert [pkt.retry_index for pkt in sent] == list(range(len(sent)))
+    assert [row[4] for row in env.rows_of("rreq_link")] == list(range(len(sent)))
+    assert len(env.rows_of("flow_failed")) <= 1
 
 
 # ----- data plane -----
