@@ -5,6 +5,9 @@ greedy unicast RREQ/RREP route establishment guarded by destination
 sequence numbers, and bandwidth admission control with notify-and-retry
 semantics.
 
+Every flow runs from a sensor to the one sink, so a node keeps one route,
+toward the sink, and no packet names a destination.
+
 Each route-control rule has one writer: `_extend` is the RREQ hop, and a
 source's RREQ is that relay step applied to an empty trace; `_fits` is the
 admission test, `_reply` the RREP origin and `_retry` the retry budget.
@@ -51,7 +54,6 @@ class MetricWeights:
 
 @dataclass
 class RouteEntry:
-    destination: int
     next_hop: int
     dest_seq: int
     path_bandwidth: float
@@ -70,7 +72,6 @@ class Hello:
 @dataclass(frozen=True)
 class Rreq:
     flow_id: int
-    destination: int
     required_bandwidth: float
     path_bandwidth_so_far: float
     retry_index: int
@@ -80,7 +81,6 @@ class Rreq:
 @dataclass(frozen=True)
 class Rrep:
     flow_id: int
-    destination: int
     dest_seq: int
     path_bandwidth: float
     hop_trace: tuple[int, ...]
@@ -136,7 +136,7 @@ class QgrpNode:
         self.neighbors: dict[int, NeighborRecord] = {}
         self.estimates: dict[int, float] = {}  # fresh neighbor -> available bit/s
         self._estimates_at = -1.0
-        self.routes: dict[int, RouteEntry] = {}
+        self.route: RouteEntry | None = None  # toward the sink
         self.flows: dict[int, FlowState] = {}
         self.reservations: dict[int, Reservation] = {}
         self.reverse_hop: dict[int, int] = {}
@@ -275,9 +275,7 @@ class QgrpNode:
         return self._emit_rreq(flow, now)
 
     def _emit_rreq(self, flow: FlowState, now: float) -> list:
-        pkt = Rreq(
-            flow.flow_id, self.env.sink_id, flow.required_bandwidth, math.inf, flow.total_rreqs, ()
-        )
+        pkt = Rreq(flow.flow_id, flow.required_bandwidth, math.inf, flow.total_rreqs, ())
         step = self._extend(pkt, now)
         if isinstance(step, AdmissionNotify):
             return self._apply_admission_rejection(flow, step.max_grantable_bandwidth, now)
@@ -301,7 +299,7 @@ class QgrpNode:
 
     def _reply(self, pkt: Rreq, from_id: int, dest_seq: int, bw: float, now: float) -> list:
         """Originate the RREP answering pkt, back along its trace extended by this node."""
-        rrep = Rrep(pkt.flow_id, pkt.destination, dest_seq, bw, pkt.hop_trace + (self.id,))
+        rrep = Rrep(pkt.flow_id, dest_seq, bw, pkt.hop_trace + (self.id,))
         self.env.log(now, self.id, "rrep_origin", pkt.flow_id, pkt.retry_index, bw)
         return [Unicast(from_id, rrep, self.env.pkt.rrep)]
 
@@ -312,12 +310,12 @@ class QgrpNode:
             self.env.log(now, self.id, "loop_witness", pkt.flow_id, pkt.retry_index)
             return []
 
-        if self.is_sink and self.id == pkt.destination:
+        if self.is_sink:
             self.dest_seq += 1
             return self._reply(pkt, from_id, self.dest_seq, pkt.path_bandwidth_so_far, now)
 
         self.refresh(now)
-        entry = self.routes.get(pkt.destination)
+        entry = self.route
         if (
             entry is not None
             and entry.valid
@@ -350,15 +348,13 @@ class QgrpNode:
 
         if idx + 1 < len(trace):
             next_hop = trace[idx + 1]
-            entry = self.routes.get(pkt.destination)
+            entry = self.route
             if entry is None or not entry.valid or is_fresher(
                 pkt.dest_seq, pkt.path_bandwidth, entry.dest_seq, entry.path_bandwidth
             ):
-                self.routes[pkt.destination] = RouteEntry(
-                    pkt.destination, next_hop, pkt.dest_seq, pkt.path_bandwidth
-                )
+                self.route = RouteEntry(next_hop, pkt.dest_seq, pkt.path_bandwidth)
                 self.env.log(
-                    now, self.id, "route_install", pkt.destination, next_hop, pkt.dest_seq,
+                    now, self.id, "route_install", self.env.sink_id, next_hop, pkt.dest_seq,
                     pkt.path_bandwidth,
                 )
             res = self.reservations.get(pkt.flow_id)
@@ -451,12 +447,12 @@ class QgrpNode:
         return self.forward_data(pkt, now)
 
     def forward_data(self, pkt: Data, now: float) -> list:
-        entry = self.routes.get(self.env.sink_id)
+        entry = self.route
         if entry is not None and entry.valid:
             self._purge_reservations(now)
             if not is_fresh(self.neighbors.get(entry.next_hop), now, self.env.hello.expiry):
                 entry.valid = False
-                self.env.log(now, self.id, "route_invalidate", entry.destination, entry.next_hop)
+                self.env.log(now, self.id, "route_invalidate", self.env.sink_id, entry.next_hop)
         if entry is None or not entry.valid:
             flow = self.flows.get(pkt.flow_id)
             self.env.log(now, self.id, "drop", pkt.flow_id, pkt.sequence, "no_route")

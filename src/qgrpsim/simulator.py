@@ -384,11 +384,13 @@ class Engine:
         return full
 
     def _occupy(self, sender: SensorNode, pkt, bits: int, to_id: int, attempts: int,
-                spent: float, airtime: float, now: float) -> float:
-        """Hold sender's radio for airtime from when it is next free; returns the end time.
+                spent: float, cost: LinkCost, now: float) -> float:
+        """Hold sender's radio for the attempts' airtime once it is free; returns the end time.
 
-        Charges the airtime to carrier sense and logs the tx row, then a death row if drained.
+        Each attempt is the link's mean contention plus bits at the nominal rate.  Charges
+        the airtime to carrier sense and logs the tx row, then a death row if drained.
         """
+        airtime = attempts * (bits / self.cfg.mac.b_no + cost.contention_s)
         start = max(now, sender.next_free)
         end = start + airtime
         sender.pending_tx += 1
@@ -406,7 +408,6 @@ class Engine:
         if self._refuses(sender, pkt, now):
             return
         cost = self.link_cost(sender.id, to_id)
-        unit = bits / self.cfg.mac.b_no + cost.contention_s
         max_attempts = 1 + self.cfg.mac.retries
         attempts = 0
         delivered = False
@@ -417,7 +418,7 @@ class Engine:
             if self.rng.random() >= cost.p_c:
                 delivered = True
                 break
-        end = self._occupy(sender, pkt, bits, to_id, attempts, spent, attempts * unit, now)
+        end = self._occupy(sender, pkt, bits, to_id, attempts, spent, cost, now)
         if delivered:
             self._schedule(end, _ARRIVAL, to_id, sender.id, pkt, bits)
         elif isinstance(pkt, Data):
@@ -428,8 +429,7 @@ class Engine:
             return
         cost = self._broadcast_cost
         spent = self._debit(sender, cost.tx_j_per_bit * bits)
-        unit = bits / self.cfg.mac.b_no + cost.contention_s
-        end = self._occupy(sender, pkt, bits, -1, 1, spent, unit, now)
+        end = self._occupy(sender, pkt, bits, -1, 1, spent, cost, now)
         draw = self.rng.random
         push = heapq.heappush
         heap = self._heap

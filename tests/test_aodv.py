@@ -4,12 +4,13 @@ import subprocess
 import sys
 import textwrap
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import qgrpsim
-from qgrpsim.actions import Broadcast, Data, Unicast
+from qgrpsim.actions import Broadcast, Data, StartTimer, Unicast
 from qgrpsim.aodv import AodvNode, AodvRrep, AodvRreq
 from qgrpsim.config import parse_config
 from qgrpsim.geometry import Position, distance
@@ -22,6 +23,12 @@ from test_qgrp import StubEnv
 def line_env():
     positions = {0: Position(0, 0), 1: Position(200, 0), 2: Position(400, 0)}
     return StubEnv(positions, sink_id=2)
+
+
+def timer_payload(effects):
+    """Payload of the one discovery timeout among effects."""
+    (timer,) = [e for e in effects if isinstance(e, StartTimer)]
+    return timer.payload
 
 
 def test_line_discovery_via_middle_node():
@@ -55,7 +62,7 @@ def test_line_discovery_via_middle_node():
 def test_duplicate_rreq_suppressed():
     env = line_env()
     b = AodvNode(1, env)
-    pkt = AodvRreq(0, 7, 2, 3, 0, 0)
+    pkt = AodvRreq(0, 7, 3, 0, 0)
     assert b._handle_rreq(pkt, 0, 1.0) != []
     assert b._handle_rreq(pkt, 0, 1.1) == []
 
@@ -78,16 +85,31 @@ def test_discovery_timeout_retries_then_fails():
     env = StubEnv({0: Position(0, 0), 2: Position(900, 0)}, sink_id=2)
     node = AodvNode(0, env)
     node.start_flow(5, 1e5, 1.0)
-    node.on_data_emit(5, 2000, 0, 1.0)
-    pending = node.pending[2]
+    out = node.on_data_emit(5, 2000, 0, 1.0)
     for retry in range(env.retry.max_retries):
-        out = node.on_timer("aodv_timeout", (2, pending.timer_gen), 1.5 + retry)
+        out = node.on_timer("aodv_timeout", timer_payload(out), 1.5 + retry)
         assert any(isinstance(e, Broadcast) for e in out)
-    out = node.on_timer("aodv_timeout", (2, pending.timer_gen), 9.0)
+    out = node.on_timer("aodv_timeout", timer_payload(out), 9.0)
     assert out == []
     assert node.flows[5].failed
-    assert 2 not in node.pending
+    assert node.retries is None
     assert any(r[2] == "flow_failed" for r in env.rows)
+
+
+def test_stale_discovery_timer_is_ignored():
+    """A timeout armed by a closed discovery neither retries nor fails the next one."""
+    env = line_env()
+    env.retry = replace(env.retry, max_retries=0)
+    node = AodvNode(0, env)
+    node.start_flow(5, 1e5, 1.0)
+    first = timer_payload(node.on_data_emit(5, 2000, 0, 1.0))
+    node._handle_rrep(AodvRrep(0, 1, 1), 1, 1.1)  # discovery 1 closes: sink via node 1
+    env.alive = lambda nid: nid != 1
+    out = node.on_data_emit(5, 2000, 1, 1.2)  # the next hop is dead: discovery 2 opens
+    assert any(isinstance(e, Broadcast) for e in out)
+    assert node.on_timer("aodv_timeout", first, 1.0 + env.retry.rrep_wait) == []
+    assert not node.flows[5].failed
+    assert env.rows_of("flow_failed") == []
 
 
 def test_broken_next_hop_invalidates_and_rediscovers():

@@ -1,4 +1,4 @@
-"""Pinned event logs of seven small runs.
+"""Pinned event logs of eight small runs.
 
 Any change to the simulated behaviour, or to the float arithmetic behind
 it, changes these digests.  A change that means to alter the logs
@@ -118,3 +118,23 @@ def test_control_plane_digest_is_pinned(seed, digest):
         assert {"rejected", "failed"} <= releases
         assert any(row[2] == "rreq_link" and row[4] > 0 for row in log)
     assert digest_of(log) == digest
+
+
+def test_aodv_discovery_digest_is_pinned():
+    # Heavy flows and two discovery retries.  Relays invalidate routes through dead nodes,
+    # two sources rediscover when their next hop dies, and both flows fail once every
+    # retry has timed out.
+    cfg = parse_config(
+        "[topology]\nn = 30\nseed = 9\n"
+        "[protocol]\nname = aodv\n"
+        "[retry]\nmax_retries = 2\n"
+        "[sim]\nduration_s = 12.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 600000.0\nstart_s = 1.0\n"
+        "[flow:2]\nrate_bps = 900000.0\nstart_s = 1.5\n"
+        "[flow:3]\nrate_bps = 400000.0\nstart_s = 2.0\n"
+    )
+    log = Engine(cfg).run().event_log
+    kinds = [row[2] for row in log]
+    assert (kinds.count("flow_failed"), kinds.count("route_invalidate"), kinds.count("death")) \
+        == (2, 2, 4)
+    assert digest_of(log) == "09934d18e519f8751742510e9f90658489f5d2b82d7819212e879bcfbd0a00d9"

@@ -249,7 +249,7 @@ def line_env(policy="retry"):
 def test_sink_replies_with_incremented_sequence():
     env = line_env()
     sink = QgrpNode(3, env)
-    pkt = Rreq(11, 3, 0.5e6, 1.4e6, 0, (0, 1, 2))
+    pkt = Rreq(11, 0.5e6, 1.4e6, 0, (0, 1, 2))
     out = sink.handle_rreq(pkt, 2, 4.0)
     assert sink.dest_seq == 1
     (effect,) = out
@@ -258,7 +258,7 @@ def test_sink_replies_with_incremented_sequence():
     assert rrep.dest_seq == 1
     assert rrep.path_bandwidth == 1.4e6
     assert rrep.hop_trace == (0, 1, 2, 3)
-    out2 = sink.handle_rreq(Rreq(12, 3, 0.5e6, 1.0e6, 0, (0, 1)), 1, 5.0)
+    out2 = sink.handle_rreq(Rreq(12, 0.5e6, 1.0e6, 0, (0, 1)), 1, 5.0)
     assert out2[0].packet.dest_seq == 2
 
 
@@ -266,7 +266,7 @@ def test_intermediate_forwards_with_min_accumulation():
     env = line_env()
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 0.9e6})
-    pkt = Rreq(11, 3, 0.5e6, 1.5e6, 0, (0,))
+    pkt = Rreq(11, 0.5e6, 1.5e6, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
     assert isinstance(effect, Unicast) and effect.to == 2
     fwd = effect.packet
@@ -281,9 +281,9 @@ def test_cached_route_reply_uses_stored_bandwidth():
     env = line_env()
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 1.6e6})
-    node.handle_rrep(Rrep(5, 3, 4, 1.1e6, (0, 1, 2, 3)), 2, 4.0)
-    assert node.routes[3].path_bandwidth == 1.1e6
-    pkt = Rreq(12, 3, 0.5e6, 0.8e6, 0, (0,))
+    node.handle_rrep(Rrep(5, 4, 1.1e6, (0, 1, 2, 3)), 2, 4.0)
+    assert node.route.path_bandwidth == 1.1e6
+    pkt = Rreq(12, 0.5e6, 0.8e6, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
     rrep = effect.packet
     assert isinstance(rrep, Rrep)
@@ -300,7 +300,7 @@ def test_rejection_notifies_with_max_grantable():
     )
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 0.3e6})
-    pkt = Rreq(21, 9, 0.5e6, 1.2e6, 0, (0,))
+    pkt = Rreq(21, 0.5e6, 1.2e6, 0, (0,))
     (effect,) = node.handle_rreq(pkt, 0, 4.0)
     notify = effect.packet
     assert isinstance(notify, AdmissionNotify)
@@ -312,7 +312,7 @@ def test_rejection_notifies_with_max_grantable():
 def test_loop_witness_drops_and_counts():
     env = line_env()
     node = QgrpNode(1, env)
-    pkt = Rreq(30, 3, 0.5e6, 1.0e6, 0, (0, 1, 2))
+    pkt = Rreq(30, 0.5e6, 1.0e6, 0, (0, 1, 2))
     assert node.handle_rreq(pkt, 2, 4.0) == []
     assert len(env.rows_of("loop_witness")) == 1
 
@@ -326,7 +326,7 @@ def test_forwarding_excludes_nodes_already_in_trace():
     )
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 1.8e6})
-    pkt = Rreq(31, 9, 0.5e6, 1.0e6, 0, (0, 2))
+    pkt = Rreq(31, 0.5e6, 1.0e6, 0, (0, 2))
     (effect,) = node.handle_rreq(pkt, 2, 4.0)
     assert isinstance(effect.packet, AdmissionNotify)
     assert env.rows_of("loop_witness") == []
@@ -352,12 +352,12 @@ def test_three_hop_line_bottleneck():
 
     back2 = nodes[2].handle_rrep(rrep, 3, 2.0)
     assert back2[0].to == 1
-    assert nodes[2].routes[3].next_hop == 3
+    assert nodes[2].route.next_hop == 3
     back1 = nodes[1].handle_rrep(rrep, 2, 2.0)
-    assert nodes[1].routes[3].next_hop == 2
+    assert nodes[1].route.next_hop == 2
     nodes[0].handle_rrep(rrep, 1, 2.0)
     assert nodes[0].flows[77].admitted
-    assert nodes[0].routes[3].path_bandwidth == 0.9e6
+    assert nodes[0].route.path_bandwidth == 0.9e6
     assert back1[0].to == 0
 
 
@@ -368,22 +368,22 @@ def test_rrep_freshness_rules():
     node = QgrpNode(1, env)
     pin_estimates(node, 4.0, {2: 1.5e6})
 
-    node.handle_rrep(Rrep(1, 3, 4, 1.0e6, (0, 1, 2, 3)), 2, 4.0)
-    assert (node.routes[3].dest_seq, node.routes[3].path_bandwidth) == (4, 1.0e6)
+    node.handle_rrep(Rrep(1, 4, 1.0e6, (0, 1, 2, 3)), 2, 4.0)
+    assert (node.route.dest_seq, node.route.path_bandwidth) == (4, 1.0e6)
 
     # Higher sequence replaces even with lower bandwidth.
-    node.handle_rrep(Rrep(1, 3, 5, 0.8e6, (0, 1, 2, 3)), 2, 4.0)
-    assert (node.routes[3].dest_seq, node.routes[3].path_bandwidth) == (5, 0.8e6)
+    node.handle_rrep(Rrep(1, 5, 0.8e6, (0, 1, 2, 3)), 2, 4.0)
+    assert (node.route.dest_seq, node.route.path_bandwidth) == (5, 0.8e6)
 
     # Same sequence with strictly higher bandwidth replaces.
-    node.handle_rrep(Rrep(1, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
-    assert (node.routes[3].dest_seq, node.routes[3].path_bandwidth) == (5, 1.2e6)
+    node.handle_rrep(Rrep(1, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
+    assert (node.route.dest_seq, node.route.path_bandwidth) == (5, 1.2e6)
 
     # Equal sequence and bandwidth keeps the stored entry (non-strict case),
     # but the packet is still forwarded toward the source.
-    kept = node.routes[3]
-    out = node.handle_rrep(Rrep(1, 3, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
-    assert node.routes[3] is kept
+    kept = node.route
+    out = node.handle_rrep(Rrep(1, 5, 1.2e6, (0, 1, 2, 3)), 2, 4.0)
+    assert node.route is kept
     assert out and out[0].to == 0
 
 
@@ -452,7 +452,7 @@ def test_stale_timer_is_ignored_after_rrep():
     env, node, _ = source_with_flow("retry")
     flow = node.flows[55]
     stale_gen = flow.timer_gen
-    node.handle_rrep(Rrep(55, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.2)
+    node.handle_rrep(Rrep(55, 1, 1.0e6, (0, 1, 3)), 1, 2.2)
     assert flow.admitted
     assert node.on_timer("rreq_timeout", (55, stale_gen), 2.6) == []
 
@@ -533,7 +533,7 @@ def test_admission_flushes_buffer_fifo():
     env, node, _ = source_with_flow("retry")
     for seq in range(3):
         node.on_data_emit(55, 2000, seq, 2.2)
-    out = node.handle_rrep(Rrep(55, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
+    out = node.handle_rrep(Rrep(55, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
     sent = [e.packet.sequence for e in out if isinstance(e, Unicast) and isinstance(e.packet, Data)]
     assert sent == [0, 1, 2]
     assert all(e.to == 1 for e in out if isinstance(e, Unicast))
@@ -541,7 +541,7 @@ def test_admission_flushes_buffer_fifo():
 
 def test_forward_data_without_route_drops_and_requests():
     env, node, _ = source_with_flow("retry")
-    node.handle_rrep(Rrep(55, 3, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
+    node.handle_rrep(Rrep(55, 1, 1.0e6, (0, 1, 3)), 1, 2.3)
     assert node.flows[55].admitted
     # Next hop 1 was last heard at 2.0; let its hello age past the expiry.
     now = 2.0 + env.hello.expiry + 0.5
@@ -559,11 +559,11 @@ def test_hello_freshness_boundary(past_expiry, fresh):
     env = line_env()
     node = QgrpNode(0, env)
     hello_into(node, 1, 2.0)
-    node.routes[3] = RouteEntry(3, 1, 1, 1.0e6)
+    node.route = RouteEntry(1, 1, 1.0e6)
     now = 2.0 + env.hello.expiry + past_expiry
     out = node.forward_data(Data(55, 2000, now, 0), now)
     assert [e.to for e in out] == ([1] if fresh else [])
-    assert node.routes[3].valid is fresh
+    assert node.route.valid is fresh
     node.refresh(now)
     assert (1 in node.estimates) is fresh
 

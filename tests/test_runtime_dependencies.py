@@ -1,5 +1,6 @@
 """The package runs on the standard library alone, as pyproject.toml declares."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -20,8 +21,9 @@ from qgrpsim import cli
 sys.exit(cli.main(["run", "-c", sys.argv[1], "-o", sys.argv[2]]))
 """
 
+# A 300 x 300 m field keeps the 12 nodes connected, so the run carries data.
 TINY = (
-    "[topology]\nn = 12\n"
+    "[topology]\nn = 12\nfield_width = 300.0\nfield_height = 300.0\n"
     "[sim]\nduration_s = 3.0\nwarm_up_s = 0.5\nrepetitions = 1\n"
     "[flow:1]\nrate_bps = 100000.0\nstart_s = 0.5\n"
 )
@@ -35,4 +37,7 @@ def test_package_imports_and_runs_without_test_dependencies(tmp_path):
     proc = subprocess.run([sys.executable, "-c", CHILD, str(cfg_path), str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert (out / "runs.csv").read_text().count("\n") == 3  # header, one run, its average
+    with open(out / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["seed"] for row in rows] == ["1", "avg"]  # one run, then its average
+    assert float(rows[0]["pdr"]) > 0.0
