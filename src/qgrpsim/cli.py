@@ -109,11 +109,10 @@ def run_experiment(cfg: ScenarioConfig, output_dir, protocols=None, write_logs=F
     return EXIT_OK
 
 
-def solve_dcf_command(params: DcfParams, densities, distances, output_path,
-                      reduced=True) -> int:
+def solve_dcf_command(params: DcfParams, densities, distances, output_path) -> int:
     """Build the collision table and write it as CSV."""
     try:
-        table = build_table(densities, distances, params, reduced=reduced)
+        table = build_table(densities, distances, params)
     except ConvergenceError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
@@ -160,6 +159,9 @@ def main(argv=None) -> int:
     dcf_p.add_argument("--distance-axis", help="comma-separated distances in meters")
 
     args = parser.parse_args(argv)
+    if args.command in ("run", "compare") and args.jobs < 1:
+        print(f"config error: --jobs: must be >= 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     try:
         cfg = _load_config(args.config)
     except ConfigError as exc:
@@ -181,8 +183,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        return solve_dcf_command(cfg.dcf.params, densities, distances, args.output,
-                                 reduced=cfg.dcf.reduced)
+        return solve_dcf_command(cfg.dcf.params, densities, distances, args.output)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

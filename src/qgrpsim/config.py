@@ -42,7 +42,6 @@ class TopologyConfig:
 @dataclass(frozen=True)
 class DcfConfig:
     params: DcfParams = field(default_factory=DcfParams)
-    reduced: bool = True
     # Densities in nodes per km^2, distances in m.
     table_densities: tuple[float, ...] = param((90.0, 100.0, 110.0, 120.0), check=check_axis)
     table_distances: tuple[float, ...] = param((100.0, 150.0, 200.0, 250.0), check=check_axis)
@@ -147,7 +146,6 @@ _TYPES = {
     "int": (int, "an integer"),
     "int | None": (int, "an integer"),
     "float": (_finite, "a finite number"),
-    "bool": (lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()], "a boolean"),
     "str": (str.strip, "a string"),
     "tuple[float, ...]": (_items(_finite), "a comma-separated list of finite numbers"),
     "tuple[int, ...]": (_items(int), "a comma-separated list of integers"),
@@ -156,8 +154,6 @@ _TYPES = {
 
 def _render(value) -> str:
     """The text `_TYPES` reads back as value."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ",".join(map(repr, value))
     return value if isinstance(value, str) else repr(value)
@@ -177,7 +173,7 @@ class Key(NamedTuple):
         conv, expected = self.type
         try:
             value = conv(text)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{where}: expected {expected}, got {text!r}") from exc
         problem = self.check and self.check(value)
         _require(not problem, where, problem)

@@ -5,12 +5,16 @@ conditional collision probability through a two-equation nonlinear fixed
 point, precomputes a density x distance collision grid off-line, and
 serves runtime queries by one-dimensional inverse-distance interpolation
 between the two nearest stored configurations.
+
+There is one collision form, the overlap form: the receiver-silenced disk
+is taken as covered by the sender's carrier-sense disk, so a sender
+collides when any of the expected n nodes inside both disks attempts in
+the same virtual slot, p_c = 1 - (1 - p_a)^n.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -63,24 +67,6 @@ class DcfParams:
 
 
 @dataclass(frozen=True)
-class RegionCounts:
-    """Expected node counts in the contention regions around a link.
-
-    n_cs_and_in counts nodes inside both the sender's carrier-sense disk
-    and the receiver's interference disk; n_cs_minus_in counts nodes the
-    sender hears but the receiver does not silence. Expected counts are
-    real-valued and used directly as exponents.
-    """
-
-    n_cs_and_in: float
-    n_cs_minus_in: float
-
-    def __post_init__(self):
-        if self.n_cs_and_in < 0 or self.n_cs_minus_in < 0:
-            raise ValueError("region counts must be non-negative")
-
-
-@dataclass(frozen=True)
 class FixedPointSolution:
     p_a: float
     p_c: float
@@ -88,43 +74,29 @@ class FixedPointSolution:
     iterations: int
 
 
-def attempt_probability_detail(p_c: float, params: DcfParams) -> tuple[float, bool]:
-    """Attempt probability plus a flag telling whether clamping to [0, 1] fired."""
+def attempt_probability(p_c: float, params: DcfParams) -> float:
+    """Per-virtual-slot transmission attempt probability at the given collision probability."""
     if not 0.0 <= p_c <= 1.0:
         raise ValueError(f"p_c must lie in [0, 1], got {p_c}")
     m = params.backoff_stages
     den = (1.0 - 2.0 * p_c) * (params.cw_max + 1) + p_c * params.cw_min * (1.0 - (2.0 * p_c) ** m)
     if abs(den) < _SINGULAR_EPS:
         raise SingularDenominatorError(f"attempt-probability denominator ~0 at p_c={p_c}")
-    raw = (2.0 - 4.0 * p_c) / den
-    value = min(1.0, max(0.0, raw))
-    return value, value != raw
+    return min(1.0, max(0.0, (2.0 - 4.0 * p_c) / den))
 
 
-def attempt_probability(p_c: float, params: DcfParams) -> float:
-    """Per-virtual-slot transmission attempt probability at the given collision probability."""
-    value, _ = attempt_probability_detail(p_c, params)
-    return value
+def collision_probability(p_a: float, n: float) -> float:
+    """Conditional collision probability of a sender attempting with p_a among n contenders.
 
-
-def collision_probability(
-    p_a: float, counts: RegionCounts, params: DcfParams, reduced: bool = True
-) -> float:
-    """Conditional collision probability seen by a sender attempting with p_a.
-
-    With reduced=True the receiver-silenced disk is assumed covered by the
-    sender's carrier-sense disk and only the overlap count matters.  The
-    full form additionally exposes the sender-only region, weighted by the
-    payload-to-slot duration ratio.
+    n is the expected, real-valued contender count from region_counts.
     """
     if not 0.0 <= p_a <= 1.0:
         raise ValueError(f"p_a must lie in [0, 1], got {p_a}")
-    exponent = counts.n_cs_and_in
-    if not reduced:
-        exponent += counts.n_cs_minus_in * params.payload_duration / params.virtual_slot
-    if exponent == 0.0:
+    if n < 0:
+        raise ValueError(f"contender count must be non-negative, got {n}")
+    if n == 0.0:
         return 0.0
-    return 1.0 - (1.0 - p_a) ** exponent
+    return 1.0 - (1.0 - p_a) ** n
 
 
 def lens_area(r1: float, r2: float, d: float) -> float:
@@ -143,18 +115,21 @@ def lens_area(r1: float, r2: float, d: float) -> float:
     return a1 + a2
 
 
-def region_counts(density: float, sender_receiver_distance: float, params: DcfParams) -> RegionCounts:
-    """Expected region populations for a link, from node density in nodes per m^2."""
+def region_counts(density: float, sender_receiver_distance: float, params: DcfParams) -> float:
+    """Expected contenders of a link, from node density in nodes per m^2.
+
+    They are the nodes inside both the sender's carrier-sense disk and the
+    receiver's interference disk.
+    """
     if density < 0:
         raise ValueError(f"density must be non-negative, got {density}")
     if sender_receiver_distance < 0:
         raise ValueError(f"distance must be non-negative, got {sender_receiver_distance}")
-    lens = lens_area(params.carrier_sense_radius, params.interference_radius, sender_receiver_distance)
-    cs_area = math.pi * params.carrier_sense_radius**2
-    return RegionCounts(density * lens, density * max(0.0, cs_area - lens))
+    return density * lens_area(
+        params.carrier_sense_radius, params.interference_radius, sender_receiver_distance)
 
 
-def _coupled_map(p_c: float, counts: RegionCounts, params: DcfParams, reduced: bool) -> float:
+def _coupled_map(p_c: float, n: float, params: DcfParams) -> float:
     """One application of the coupled system: p_c -> attempt -> collision."""
     try:
         p_a = attempt_probability(p_c, params)
@@ -162,15 +137,11 @@ def _coupled_map(p_c: float, counts: RegionCounts, params: DcfParams, reduced: b
         # Removable singularity; step around it deterministically.
         nudge = 1e-9 if p_c <= 0.5 else -1e-9
         p_a = attempt_probability(p_c + nudge, params)
-    return collision_probability(p_a, counts, params, reduced)
+    return collision_probability(p_a, n)
 
 
-def solve_fixed_point(
-    counts: RegionCounts,
-    params: DcfParams,
-    reduced: bool = True,
-) -> FixedPointSolution:
-    """Solve p_c = g(p_c) for the coupled attempt/collision system.
+def solve_fixed_point(n: float, params: DcfParams) -> FixedPointSolution:
+    """Solve p_c = g(p_c) for the coupled attempt/collision system among n contenders.
 
     Runs a damped fixed-point iteration and falls back to bisection of
     g(p) - p on [0, 1] when damping stalls.  Deterministic for identical
@@ -178,7 +149,7 @@ def solve_fixed_point(
     """
 
     def g(p: float) -> float:
-        return _coupled_map(p, counts, params, reduced)
+        return _coupled_map(p, n, params)
 
     p = 0.0
     iterations = 0
@@ -258,7 +229,6 @@ def build_table(
     densities: list[float] | tuple[float, ...],
     distances: list[float] | tuple[float, ...],
     params: DcfParams,
-    reduced: bool = True,
 ) -> CollisionTable:
     """Solve the fixed point for every axis combination.
 
@@ -268,9 +238,9 @@ def build_table(
     for density in densities:
         row = []
         for dist in distances:
-            counts = region_counts(density / 1e6, dist, params)
+            n = region_counts(density / 1e6, dist, params)
             try:
-                row.append(solve_fixed_point(counts, params, reduced).p_c)
+                row.append(solve_fixed_point(n, params).p_c)
             except (ConvergenceError, SingularDenominatorError) as exc:
                 raise ConvergenceError(
                     f"cell (density={density}, distance={dist}): {exc}") from exc
@@ -342,7 +312,8 @@ def read_table_csv(path) -> CollisionTable:
 
 # Reference operating points for the contention model: collision
 # probabilities for four field densities (nodes per 1e6 m^2) and four
-# sender-receiver separations (m).  Shipped as calibration targets.
+# sender-receiver separations (m).  Shipped as the targets a solved
+# table is measured against.
 REFERENCE_DENSITIES = (90.0, 100.0, 110.0, 120.0)
 REFERENCE_DISTANCES = (100.0, 150.0, 200.0, 250.0)
 REFERENCE_PC = (
@@ -356,76 +327,3 @@ REFERENCE_PC = (
 def reference_table() -> CollisionTable:
     """The shipped reference grid as a lookup table."""
     return CollisionTable(REFERENCE_DENSITIES, REFERENCE_DISTANCES, REFERENCE_PC)
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    radius: float
-    table: CollisionTable
-    deviations: tuple[tuple[float, ...], ...]
-    max_abs_deviation: float
-    sse: float
-
-
-def fit_carrier_sense_radius(
-    base: DcfParams,
-    densities: tuple[float, ...] = REFERENCE_DENSITIES,
-    distances: tuple[float, ...] = REFERENCE_DISTANCES,
-    targets: tuple[tuple[float, ...], ...] = REFERENCE_PC,
-    reduced: bool = False,
-    lo: float = 60.0,
-    hi: float = 600.0,
-) -> CalibrationResult:
-    """Least-squares fit of the carrier-sense radius against a target grid.
-
-    Scans candidate radii coarsely, then refines around the best candidate
-    by golden-section search.  The single fitted scalar is the only free
-    parameter; all other contention parameters stay at their configured
-    values.  The full (non-reduced) collision form is the default here
-    because only its sender-only exponent makes the solved probabilities
-    grow with distance the way the targets do.
-    """
-
-    def sse_at(radius: float) -> float:
-        params = dataclasses.replace(base, carrier_sense_radius=radius)
-        table = build_table(densities, distances, params, reduced=reduced)
-        return sum(
-            (table.p_c_grid[i][j] - targets[i][j]) ** 2
-            for i in range(len(densities))
-            for j in range(len(distances))
-        )
-
-    step = 2.0
-    best_r = lo
-    best_sse = math.inf
-    r = lo
-    while r <= hi:
-        s = sse_at(r)
-        if s < best_sse:
-            best_r, best_sse = r, s
-        r += step
-
-    a, b = max(lo, best_r - step), min(hi, best_r + step)
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = sse_at(c), sse_at(d)
-    while b - a > 1e-3:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = sse_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = sse_at(d)
-    radius = 0.5 * (a + b)
-
-    params = dataclasses.replace(base, carrier_sense_radius=radius)
-    table = build_table(densities, distances, params, reduced=reduced)
-    deviations = tuple(
-        tuple(table.p_c_grid[i][j] - targets[i][j] for j in range(len(distances)))
-        for i in range(len(densities))
-    )
-    max_dev = max(abs(v) for row in deviations for v in row)
-    return CalibrationResult(radius, table, deviations, max_dev, sse_at(radius))

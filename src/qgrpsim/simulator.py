@@ -193,9 +193,7 @@ class Engine:
         self.sink_id = self.topology.sink_id
         self.nodes = {node.id: node for node in self.topology.nodes}
         self.table = table if table is not None else build_table(
-            cfg.dcf.table_densities, cfg.dcf.table_distances, cfg.dcf.params,
-            reduced=cfg.dcf.reduced,
-        )
+            cfg.dcf.table_densities, cfg.dcf.table_distances, cfg.dcf.params)
         for density, row in zip(self.table.densities, self.table.p_c_grid):
             for dist, p_c in zip(self.table.distances, row):
                 if p_c >= 1.0:

@@ -45,6 +45,9 @@ def test_weight_sum_violation_carries_key_path():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="topology.bogus"):
         parse_config("[topology]\nbogus = 1\n")
+    # [dcf] has no switch between collision forms: the model has one.
+    with pytest.raises(ConfigError, match=r"^dcf\.reduced: unknown key"):
+        parse_config("[dcf]\nreduced = false\n")
 
 
 def test_unknown_section_rejected():
@@ -198,7 +201,7 @@ def test_emit_parse_round_trip():
         "[topology]\nn = 55\nseed = 9\n"
         "[protocol]\nname = aodv\n"
         "[weights]\nalpha = 0.65\n"
-        "[dcf]\ncw_min = 16\ncw_max = 256\nreduced = false\n"
+        "[dcf]\ncw_min = 16\ncw_max = 256\ninterference_radius_m = 300.0\n"
         "[experiment]\nsizes = 20,30\n"
         "[flow:1]\nrate_bps = 250000.0\nstart_s = 1.5\nsource = 4\n"
         "[flow:2]\nrate_bps = 125000.0\n"
@@ -221,9 +224,7 @@ def valid_values(name, key):
     default = reduce(getattr, key.path, DEFAULTS)
     if name in STRING_CHOICES:
         return st.sampled_from(STRING_CHOICES[name])
-    if isinstance(default, bool):
-        base = st.booleans()
-    elif isinstance(default, int):
+    if isinstance(default, int):
         base = st.integers(2, 10**6)
     elif name in FRACTIONS:
         base = st.floats(0.0, 1.0, exclude_max=True)
@@ -239,8 +240,6 @@ def valid_values(name, key):
 
 def render(value):
     """A value as a document writes it."""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, tuple):
         return ",".join(map(repr, value))
     return value if isinstance(value, str) else repr(value)
@@ -297,9 +296,9 @@ TINY = (
 
 
 @pytest.mark.parametrize("document,digest", [
-    ("", "7560ae29fd492a46e0d132e26ac9c81060946a318260fa715c65a166dec8f9d3"),
+    ("", "bcfd80fefa195131603bfc83e49374ede49c73213da8cf29c1327b44e7468f42"),
     (TINY + "[experiment]\nsizes = 12,20\n[flow:2]\nrate_bps = 5e4\nsource = 3\n",
-     "6f106be909f2a1f2143309325caba89a03c542f57ca3c77a3d4e3ced365dc147"),
+     "137b3c9484d63bf9a09462de498459ccc20916bdd93461c80d478e0ab26c4448"),
 ])
 def test_emitted_text_is_pinned(document, digest):
     """sha256 of emit_config's text: the emitted format is fixed byte for byte."""
@@ -342,7 +341,7 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     ).read_bytes()
 
 
-def test_cli_run_and_exit_codes(tmp_path):
+def test_cli_run_and_exit_codes(tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
     cfg_path.write_text(TINY)
     out = tmp_path / "out"
@@ -353,6 +352,13 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad.write_text("[weights]\nalpha = 2.0\n")
     assert main(["run", "-c", str(bad), "-o", str(out)]) == 2
     assert main(["run", "-c", str(tmp_path / "missing.cfg"), "-o", str(out)]) == 2
+
+    capsys.readouterr()
+    for jobs in ("0", "-3"):
+        fresh = tmp_path / f"jobs{jobs}"
+        assert main(["run", "-c", str(cfg_path), "-o", str(fresh), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err.startswith("config error: --jobs: ")
+        assert not fresh.exists()
 
 
 def test_cli_compare_emits_six_plot_files(tmp_path):

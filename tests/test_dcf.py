@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -12,13 +12,10 @@ from qgrpsim.dcf import (
     REFERENCE_PC,
     CollisionTable,
     DcfParams,
-    RegionCounts,
     SingularDenominatorError,
     attempt_probability,
-    attempt_probability_detail,
     build_table,
     collision_probability,
-    fit_carrier_sense_radius,
     lens_area,
     lookup_p_c,
     read_table_csv,
@@ -70,24 +67,20 @@ def test_params_validation():
 # ----- collision probability -----
 
 def test_collision_probability_trivial_endpoints():
-    counts = RegionCounts(12.4, 3.0)
-    assert collision_probability(0.0, counts, DEFAULTS) == 0.0
-    assert collision_probability(1.0, RegionCounts(1.0, 0.0), DEFAULTS) == 1.0
+    assert collision_probability(0.0, 12.4) == 0.0
+    assert collision_probability(1.0, 1.0) == 1.0
 
 
 def test_collision_probability_derived_point():
     # 1 - 0.95 ** 12.4, frozen from a 50-digit evaluation.
-    got = collision_probability(0.05, RegionCounts(12.4, 0.0), DEFAULTS)
-    assert got == pytest.approx(0.47061369075097958, rel=1e-14)
+    assert collision_probability(0.05, 12.4) == pytest.approx(0.47061369075097958, rel=1e-14)
 
 
-def test_collision_probability_full_form_adds_weighted_exponent():
-    counts = RegionCounts(2.0, 1.5)
-    reduced = collision_probability(0.01, counts, DEFAULTS, reduced=True)
-    full = collision_probability(0.01, counts, DEFAULTS, reduced=False)
-    exponent = 2.0 + 1.5 * DEFAULTS.payload_duration / DEFAULTS.virtual_slot
-    assert full == pytest.approx(1.0 - 0.99**exponent, rel=1e-12)
-    assert full > reduced
+def test_collision_probability_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        collision_probability(1.5, 2.0)
+    with pytest.raises(ValueError):
+        collision_probability(0.5, -1.0)
 
 
 @settings(max_examples=200)
@@ -100,24 +93,22 @@ def test_collision_probability_full_form_adds_weighted_exponent():
 def test_collision_probability_monotone(p1, p2, n1, n2):
     lo_p, hi_p = sorted((p1, p2))
     lo_n, hi_n = sorted((n1, n2))
-    base = collision_probability(lo_p, RegionCounts(lo_n, 0.0), DEFAULTS)
-    assert collision_probability(hi_p, RegionCounts(lo_n, 0.0), DEFAULTS) >= base
-    assert collision_probability(lo_p, RegionCounts(hi_n, 0.0), DEFAULTS) >= base
+    base = collision_probability(lo_p, lo_n)
+    assert collision_probability(hi_p, lo_n) >= base
+    assert collision_probability(lo_p, hi_n) >= base
 
 
 # ----- region geometry -----
 
 def test_region_counts_coincident_equal_radii():
     params = DcfParams(carrier_sense_radius=250.0, interference_radius=250.0)
-    counts = region_counts(1e-4, 0.0, params)
-    assert counts.n_cs_and_in == pytest.approx(1e-4 * math.pi * 250**2, rel=1e-12)
-    assert counts.n_cs_minus_in == pytest.approx(0.0, abs=1e-9)
+    assert region_counts(1e-4, 0.0, params) == pytest.approx(1e-4 * math.pi * 250**2, rel=1e-12)
 
 
 def test_region_counts_disjoint():
     params = DcfParams(carrier_sense_radius=250.0, interference_radius=250.0)
-    assert region_counts(1e-4, 500.0, params).n_cs_and_in == 0.0
-    assert region_counts(1e-4, 800.0, params).n_cs_and_in == 0.0
+    assert region_counts(1e-4, 500.0, params) == 0.0
+    assert region_counts(1e-4, 800.0, params) == 0.0
 
 
 def test_region_counts_rejects_negative():
@@ -130,10 +121,10 @@ def test_region_counts_rejects_negative():
 def test_lens_area_equal_circles_at_radius_separation():
     # Closed form 2 R^2 (pi/3 - sqrt(3)/4); frozen from a 50-digit evaluation.
     assert lens_area(250.0, 250.0, 250.0) == pytest.approx(76773.10616304730, rel=1e-12)
-    counts = region_counts(
+    n = region_counts(
         1e-4, 250.0, DcfParams(carrier_sense_radius=250.0, interference_radius=250.0)
     )
-    assert counts.n_cs_and_in == pytest.approx(7.677310616304730, rel=1e-12)
+    assert n == pytest.approx(7.677310616304730, rel=1e-12)
 
 
 def test_lens_area_matches_monte_carlo():
@@ -153,31 +144,28 @@ def test_lens_area_matches_monte_carlo():
 # ----- fixed point solver -----
 
 def test_solve_isolated_sender():
-    sol = solve_fixed_point(RegionCounts(0.0, 0.0), DEFAULTS)
+    sol = solve_fixed_point(0.0, DEFAULTS)
     assert sol.p_c == 0.0
     assert sol.p_a == 2 / 1025
     assert sol.residual <= 1e-9
 
 
 def test_solve_deterministic_bitwise():
-    counts = region_counts(1e-4, 150.0, DEFAULTS)
-    a = solve_fixed_point(counts, DEFAULTS)
-    b = solve_fixed_point(counts, DEFAULTS)
+    n = region_counts(1e-4, 150.0, DEFAULTS)
+    a = solve_fixed_point(n, DEFAULTS)
+    b = solve_fixed_point(n, DEFAULTS)
     assert (a.p_a, a.p_c, a.residual, a.iterations) == (b.p_a, b.p_c, b.residual, b.iterations)
 
 
-def brute_force_crossing(counts: RegionCounts, params: DcfParams, reduced: bool) -> float:
+def brute_force_crossing(n: float, params: DcfParams) -> float:
     """Identity crossing of the coupled map, located by a 1e6-point scan."""
     p = np.linspace(0.0, 1.0, 10**6)
     m = params.backoff_stages
     den = (1.0 - 2.0 * p) * (params.cw_max + 1) + p * params.cw_min * (1.0 - (2.0 * p) ** m)
     den = np.where(np.abs(den) < 1e-12, np.nan, den)
     p_a = np.clip((2.0 - 4.0 * p) / den, 0.0, 1.0)
-    exponent = counts.n_cs_and_in
-    if not reduced:
-        exponent += counts.n_cs_minus_in * params.payload_duration / params.virtual_slot
     with np.errstate(invalid="ignore"):
-        h = 1.0 - (1.0 - p_a) ** exponent - p
+        h = 1.0 - (1.0 - p_a) ** n - p
     finite = np.isfinite(h)
     sign = np.signbit(h)
     flips = np.nonzero((sign[:-1] != sign[1:]) & finite[:-1] & finite[1:])[0]
@@ -189,16 +177,9 @@ def brute_force_crossing(counts: RegionCounts, params: DcfParams, reduced: bool)
 
 def test_solve_matches_brute_force_scan():
     for density, dist in ((90.0, 100.0), (120.0, 250.0), (50.0, 400.0)):
-        counts = region_counts(density / 1e6, dist, DEFAULTS)
-        sol = solve_fixed_point(counts, DEFAULTS)
-        assert abs(sol.p_c - brute_force_crossing(counts, DEFAULTS, True)) <= 1e-4
-
-
-def test_solve_full_form_matches_brute_force_scan():
-    params = dataclasses.replace(DEFAULTS, carrier_sense_radius=163.0)
-    counts = region_counts(100.0 / 1e6, 200.0, params)
-    sol = solve_fixed_point(counts, params, reduced=False)
-    assert abs(sol.p_c - brute_force_crossing(counts, params, False)) <= 1e-4
+        n = region_counts(density / 1e6, dist, DEFAULTS)
+        sol = solve_fixed_point(n, DEFAULTS)
+        assert abs(sol.p_c - brute_force_crossing(n, DEFAULTS)) <= 1e-4
 
 
 # ----- table construction -----
@@ -217,6 +198,24 @@ def test_build_table_single_cell_equals_direct_solve():
     table = build_table([100.0], [150.0], DEFAULTS)
     direct = solve_fixed_point(region_counts(100.0 / 1e6, 150.0, DEFAULTS), DEFAULTS)
     assert table.p_c_grid == ((direct.p_c,),)
+
+
+# Every cell of the solved table, pinned: 7 densities x 9 distances.  The
+# second parameter set reaches the partial-lens branch of lens_area, which the
+# default geometry never reaches for d <= 300 m.
+PIN_DENSITIES = (50.0, 90.0, 100.0, 110.0, 120.0, 200.0, 400.0)
+PIN_DISTANCES = (0.0, 50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0, 700.0)
+
+
+@pytest.mark.parametrize("params,digest", [
+    (DEFAULTS, "b04142ad0edd036573a25740c59b9a87621cf774f25c074ef4c80b809e3d1820"),
+    (DcfParams(cw_min=16, cw_max=256, carrier_sense_radius=400.0, interference_radius=300.0),
+     "58f682b440e978b22748269cde3d761bb522eaa39afbf848540097b373570fc2"),
+], ids=["defaults", "partial-lens"])
+def test_solved_table_is_pinned(params, digest):
+    """sha256 of the grid's repr: every solved p_c is fixed bit for bit."""
+    grid = build_table(PIN_DENSITIES, PIN_DISTANCES, params).p_c_grid
+    assert hashlib.sha256(repr(grid).encode()).hexdigest() == digest
 
 
 def test_table_validation():
@@ -295,26 +294,11 @@ def test_table_csv_rejects_missing_cells(tmp_path):
         read_table_csv(path)
 
 
-# ----- clamp flag over the solved grid -----
+# ----- no clamping over the solved grid -----
 
 def test_clamp_flag_false_across_solved_grid():
+    # Strictly inside (0, 1): the [0, 1] clamp of attempt_probability never fires.
     table = build_table(REFERENCE_DENSITIES, REFERENCE_DISTANCES, DEFAULTS)
     for row in table.p_c_grid:
         for p_c in row:
-            _, clamped = attempt_probability_detail(p_c, DEFAULTS)
-            assert not clamped
-
-
-# ----- calibration -----
-
-def test_calibration_is_deterministic_and_monotone():
-    a = fit_carrier_sense_radius(DEFAULTS)
-    b = fit_carrier_sense_radius(DEFAULTS)
-    assert a.radius == b.radius
-    assert a.table.p_c_grid == b.table.p_c_grid
-    grid = a.table.p_c_grid
-    for row in grid:
-        assert all(y >= x for x, y in zip(row, row[1:]))
-    for j in range(len(grid[0])):
-        col = [grid[i][j] for i in range(len(grid))]
-        assert all(y >= x for x, y in zip(col, col[1:]))
+            assert 0.0 < attempt_probability(p_c, DEFAULTS) < 1.0
