@@ -11,7 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .config import KEYS, ConfigError, ScenarioConfig, parse_config
 from .dcf import ConvergenceError, DcfParams, build_table, write_table_csv
 from .metrics import METRIC_NAMES, aggregate
-from .simulator import format_log, run_scenario
+from .simulator import _log_chunks, run_scenario
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -35,8 +35,9 @@ def _one_run(args):
         return (protocol, n, seed, None, f"{type(exc).__name__}: {exc}")
     if log_dir is not None:
         path = os.path.join(log_dir, f"{protocol}_{n}_{seed}.log")
+        # Written chunk by chunk, so the whole text is never held in memory.
         with open(path, "w") as fh:
-            fh.write(format_log(result.event_log))
+            fh.writelines(_log_chunks(result.event_log))
     return (protocol, n, seed, result.metrics, None)
 
 

@@ -13,10 +13,11 @@ source's RREQ is that relay step applied to an empty trace; `_fits` is the
 admission test, `_reply` the RREP origin and `_retry` the retry budget.
 
 Hellos carry a sender's residual energy and idle fraction only: node
-positions come from `env.positions`.  The sequence-number guard is
-`is_fresher`, applied where an RREP installs a route.  A cache reply does
-not compare the requester's known sequence number, because an RREQ
-carries none.
+positions come from `env.positions`.  The engine hands each hello
+reception straight to `on_hello`; `on_packet` dispatches every other
+packet.  The sequence-number guard is `is_fresher`, applied where an RREP
+installs a route.  A cache reply does not compare the requester's known
+sequence number, because an RREQ carries none.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class RouteEntry:
 
 # Packet variants.  Frozen so broadcast copies can be shared safely.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hello:
     sender: int
     residual_energy: float
@@ -154,7 +155,8 @@ class QgrpNode:
         gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
         return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
 
-    def on_hello(self, pkt: Hello, now: float) -> list:
+    def on_hello(self, pkt: Hello, now: float) -> tuple:
+        """Record a neighbour's hello; the engine calls this for each hello reception."""
         rec = self.neighbors.get(pkt.sender)
         if rec is None:
             self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.idle_fraction, now)
@@ -162,7 +164,7 @@ class QgrpNode:
             rec.residual_energy = pkt.residual_energy
             rec.idle_fraction = pkt.idle_fraction
             rec.last_heard = now
-        return []
+        return ()
 
     # ----- estimates and reservations -----
 
@@ -471,8 +473,7 @@ class QgrpNode:
     # ----- dispatch -----
 
     def on_packet(self, pkt: Packet, from_id: int, now: float) -> list:
-        if isinstance(pkt, Hello):
-            return self.on_hello(pkt, now)
+        """Handle every reception but a hello: the engine hands hellos to `on_hello`."""
         if isinstance(pkt, Rreq):
             return self.handle_rreq(pkt, from_id, now)
         if isinstance(pkt, Rrep):

@@ -5,8 +5,23 @@ contention delay sampled from the analytical collision model), first-order
 radio energy accounting, traffic generation, and event scheduling for both
 protocols.  The engine logs a data packet's `origin` when its source emits
 it and its `deliver` when it reaches the sink; the protocol node routes it
-in between.  One run is strictly single-threaded; independent runs share
+in between, and a hello reception goes straight to the receiver's
+`on_hello`.  One run is strictly single-threaded; independent runs share
 no mutable state.
+
+Pending events sit in two heaps.  The near queue, `Engine._heap`, holds
+receptions and transmission ends, which are almost every event.  The timer
+queue, `Engine._timers`, holds timers, emissions and flow starts, among them
+one pending hello timer per QGRP node; kept apart, those timers no longer
+sit between each reception and the root of the heap it is pushed to and
+popped from.  `Engine.run` pops whichever head is earlier by (time,
+sequence), so events dispatch in the order of one merged heap.
+
+The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
+the engine keeps to this: every event is popped through this module's
+`heapq.heappop`, and no `heapq` function but `heappush` and `heappop` is
+called; `_on_arrival` runs once per `rx` row, and a protocol's `on_hello`
+once per hello `rx` row; and every name the tracer wraps keeps its name.
 """
 
 from __future__ import annotations
@@ -32,6 +47,8 @@ _TIMER = 1
 _EMIT = 2
 _FLOW_START = 3
 _TX_DONE = 4
+# Kinds kept in the near queue, Engine._heap; the others go to Engine._timers.
+_NEAR_KINDS = (_ARRIVAL, _TX_DONE)
 
 # Packet kind written to the log for each packet class.
 _PKT_KINDS = {cls: cls.__name__.lower()
@@ -204,7 +221,8 @@ class Engine:
         self._setup_rng = random.Random(self.seed + 2_000_003)
         self.now = 0.0
         self.event_log: list[tuple] = []
-        self._heap: list = []
+        self._heap: list = []    # near queue: _NEAR_KINDS
+        self._timers: list = []  # timers, emissions and flow starts
         self._seq = 0
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
@@ -212,7 +230,7 @@ class Engine:
         self._broadcast_cost = self._cost_at(lookup_p_c(self.table, self.density, tx_range),
                                             tx_range)
         # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
-        # first broadcast or first link_cost, so each link's p_c is looked up once.
+        # first broadcast or first link_cost, so each undirected link is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
         # Receive energy per packet size: every reception of one size debits the same float.
         self._rx_energy: dict[int, float] = {}
@@ -270,7 +288,8 @@ class Engine:
 
     def _schedule(self, time, kind, *payload):
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, *payload))
+        queue = self._heap if kind in _NEAR_KINDS else self._timers
+        heapq.heappush(queue, (time, self._seq, kind, *payload))
 
     def idle_fraction(self, node_id: int, now: float) -> float:
         """Idle share of node_id's last complete idle window before now."""
@@ -307,15 +326,26 @@ class Engine:
         return build_link_cost(p_c, dist, self.cfg.dcf.params, energy.e_elec, energy.e_amp)
 
     def _neighbor_p_c(self, sender: SensorNode) -> tuple[float, ...]:
-        """The p_c of each link from sender, in neighbor_ids order, looked up once."""
-        p_cs = self._broadcast_p_c.get(sender.id)
+        """The p_c of each link from sender, in neighbor_ids order.
+
+        A neighbour whose own tuple exists already gives its entry for sender,
+        so each undirected link is looked up once.  That is exact:
+        neighbor_ids are symmetric, and distance() is symmetric to the last bit.
+        """
+        known = self._broadcast_p_c
+        p_cs = known.get(sender.id)
         if p_cs is None:
             nodes = self.nodes
-            p_cs = self._broadcast_p_c[sender.id] = tuple(
-                lookup_p_c(self.table, self.density,
-                           distance(sender.position, nodes[nb_id].position))
-                for nb_id in sender.neighbor_ids
-            )
+            sender_id = sender.id
+            out = []
+            for nb_id in sender.neighbor_ids:
+                reverse = known.get(nb_id)
+                if reverse is None:
+                    out.append(lookup_p_c(self.table, self.density,
+                                          distance(sender.position, nodes[nb_id].position)))
+                else:
+                    out.append(reverse[bisect_left(nodes[nb_id].neighbor_ids, sender_id)])
+            p_cs = known[sender_id] = tuple(out)
         return p_cs
 
     def link_cost(self, u: int, v: int) -> LinkCost:
@@ -454,6 +484,7 @@ class Engine:
 
     def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float):
         node = self.nodes[to_id]
+        pkt_type = type(pkt)
         if not node.alive:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
@@ -462,11 +493,15 @@ class Engine:
         if amount is None:
             amount = self._rx_energy[bits] = radio_rx_energy(bits, self.cfg.energy.e_elec)
         consumed = self._debit(node, amount)
-        self.event_log.append((now, to_id, "rx", _PKT_KINDS[type(pkt)], bits, from_id, consumed))
+        self.event_log.append((now, to_id, "rx", _PKT_KINDS[pkt_type], bits, from_id, consumed))
         if not node.alive:
             self.log_row(now, to_id, "death")
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
+            return
+        # Before the sink test: the sink hears hellos too.
+        if pkt_type is Hello:
+            node.protocol.on_hello(pkt, now)
             return
         # The id test comes first: it is the cheaper one, and most receptions fail it.
         if to_id == self.sink_id and isinstance(pkt, Data):
@@ -500,6 +535,13 @@ class Engine:
     # ----- run -----
 
     def run(self):
+        """Log the set-up rows, start every node and flow, and dispatch events to the horizon.
+
+        Events pop in (time, seq) order from the merge of the two queues: the
+        head times compare as floats, and only on a tie does seq, which is
+        unique, decide, so no payload is ever compared.  The first event past
+        sim.duration is popped, dropped, and ends the run.
+        """
         cfg = self.cfg
         for node in self.topology.nodes:
             role = "sink" if node.id == self.sink_id else "sensor"
@@ -516,11 +558,26 @@ class Engine:
 
         duration = cfg.sim.duration
         heap = self._heap
+        timers = self._timers
         heappop = heapq.heappop
         nodes = self.nodes
         on_arrival = self._on_arrival
-        while heap:
-            event = heappop(heap)
+        while True:
+            # The earlier head by (time, seq): times compare as floats, seq breaks a tie.
+            if heap:
+                event = heap[0]
+                if timers:
+                    head = timers[0]
+                    if head[0] < event[0] or (head[0] == event[0] and head[1] < event[1]):
+                        event = heappop(timers)
+                    else:
+                        event = heappop(heap)
+                else:
+                    event = heappop(heap)
+            elif timers:
+                event = heappop(timers)
+            else:
+                break
             time = event[0]
             if time > duration:
                 break
@@ -559,7 +616,7 @@ def run_scenario(cfg, seed: int | None = None) -> RunResult:
     return RunResult(metrics, engine.event_log, engine)
 
 
-# Rows rendered per chunk by format_log: one chunk's row strings are alive at a time.
+# Rows rendered per chunk by _log_chunks: one chunk's row strings are alive at a time.
 _FORMAT_CHUNK_ROWS = 4096
 
 
@@ -567,21 +624,29 @@ def format_log(event_log: list[tuple]) -> str:
     """Render the event log as newline-delimited comma-joined records.
 
     Each row renders as ",".join(map(repr, row)) + "\n"; an empty log renders
-    as a single newline.  The receptions of one broadcast share every field
-    but the receiver id (field 1) as the very same objects, so a 7-field row
-    is rendered as head + repr(receiver) + tail: the head, repr(time) + ",",
-    is rebuilt only when the time is not the previous 7-field row's time
-    object, and the tail, the reprs of fields 2-6 each led by a comma, only
-    when one of those five is not the previous 7-field row's object.  Fields
-    are matched by identity, so equal values with different reprs (0.0 and
+    as a single newline.  The text is the join of `_log_chunks`.
+    """
+    return "".join(_log_chunks(event_log))
+
+
+def _log_chunks(event_log: list[tuple]):
+    """Yield format_log's text in pieces of up to _FORMAT_CHUNK_ROWS rows each.
+
+    The receptions of one broadcast share every field but the receiver id
+    (field 1) as the very same objects, so a 7-field row is rendered as
+    head + repr(receiver) + tail: the head, repr(time) + ",", is rebuilt
+    only when the time is not the previous 7-field row's time object, and
+    the tail, the reprs of fields 2-6 each led by a comma, only when one of
+    those five is not the previous 7-field row's object.  Fields are
+    matched by identity, so equal values with different reprs (0.0 and
     -0.0, 1 and True) never share text.
     """
     if not event_log:
-        return "\n"
+        yield "\n"
+        return
     templates = {}  # by row length
     prev_time = prev_kind = prev_pkt_kind = prev_bits = prev_from = prev_joules = object()
     head = tail = ""
-    chunks = []
     for i in range(0, len(event_log), _FORMAT_CHUNK_ROWS):
         lines = []
         append = lines.append
@@ -603,8 +668,7 @@ def format_log(event_log: list[tuple]) -> str:
                 if template is None:
                     template = templates[len(row)] = ",".join(["%r"] * len(row)) + "\n"
                 append(template % row)
-        chunks.append("".join(lines))
-    return "".join(chunks)
+        yield "".join(lines)
 
 
 def parse_log(text: str) -> list[tuple]:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qgrpsim import simulator
 from qgrpsim.cli import main, run_experiment
 from qgrpsim.config import FLOW_KEYS, KEYS, ConfigError, emit_config, parse_config
 
@@ -359,6 +360,22 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         assert main(["run", "-c", str(cfg_path), "-o", str(fresh), "--jobs", jobs]) == 2
         assert capsys.readouterr().err.startswith("config error: --jobs: ")
         assert not fresh.exists()
+
+
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_cli_logs_hold_format_log_text(tmp_path, protocol):
+    # 20 s makes the log longer than one chunk of the writer.
+    document = (TINY.replace("repetitions = 2", "repetitions = 1")
+                .replace("duration_s = 3.0", "duration_s = 20.0")
+                + f"[protocol]\nname = {protocol}\n")
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text(document)
+    out = tmp_path / "out"
+    assert main(["run", "-c", str(cfg_path), "-o", str(out), "--logs"]) == 0
+    log = simulator.run_scenario(parse_config(document)).event_log
+    assert len(log) > simulator._FORMAT_CHUNK_ROWS
+    written = (out / "logs" / f"{protocol}_12_4.log").read_bytes()
+    assert written == simulator.format_log(log).encode()
 
 
 def test_cli_compare_emits_six_plot_files(tmp_path):

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 import statistics
@@ -9,11 +10,12 @@ from hypothesis import strategies as st
 
 from qgrpsim import simulator
 from qgrpsim.actions import Data
+from qgrpsim.aodv import AodvNode
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
 from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
-from qgrpsim.qgrp import Hello
+from qgrpsim.qgrp import Hello, QgrpNode
 from qgrpsim.simulator import (
     Engine,
     build_link_cost,
@@ -104,10 +106,80 @@ def test_collision_certain_table_is_rejected():
 
 
 def test_event_before_its_cause_raises():
-    engine = Engine(run_cfg())
-    engine._schedule(-1.0, simulator._TX_DONE, 0)
-    with pytest.raises(RuntimeError, match="before its cause"):
-        engine.run()
+    # One case for each queue: a transmission end in the near queue, a timer in the other.
+    for kind, payload in ((simulator._TX_DONE, (0,)), (simulator._TIMER, (0, "hello", ()))):
+        engine = Engine(run_cfg())
+        engine._schedule(-1.0, kind, *payload)
+        with pytest.raises(RuntimeError, match="before its cause"):
+            engine.run()
+
+
+class RecordingHeapq:
+    """Stands in for the engine's `heapq` module and records every push and pop."""
+
+    def __init__(self):
+        self.pushed = []
+        self.popped = []
+
+    def heappush(self, heap, item):
+        self.pushed.append(item)
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        item = heapq.heappop(heap)
+        self.popped.append(item)
+        return item
+
+
+class StubProtocol:
+    """A node protocol that starts nothing and records its timers."""
+
+    def __init__(self, dispatched):
+        self.dispatched = dispatched
+
+    def start(self, now):
+        return []
+
+    def on_timer(self, kind, payload, now):
+        self.dispatched.append((simulator._TIMER, now))
+        return []
+
+
+# A payload of the right arity for each event kind; the stub handlers ignore it.
+EVENT_PAYLOADS = {
+    simulator._ARRIVAL: (1, 0, None, 0),
+    simulator._TX_DONE: (0,),
+    simulator._TIMER: (0, "stub", ()),
+    simulator._EMIT: (0, 0),
+    simulator._FLOW_START: (0,),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(EVENT_PAYLOADS)),
+                          st.sampled_from([0.0, 0.25, 1.0, 2.5, 5.0]) | st.floats(0.0, 5.0)),
+                max_size=40))
+def test_run_merges_both_queues_in_time_seq_order(events):
+    # Few distinct times, so many events tie across the two queues.
+    engine = Engine(run_cfg("[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"))
+    dispatched = []
+    for node in engine.topology.nodes:
+        node.protocol = StubProtocol(dispatched)
+    engine._on_arrival = lambda *args: dispatched.append((simulator._ARRIVAL, args[-1]))
+    engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1]))
+    engine._on_flow_start = lambda *args: dispatched.append((simulator._FLOW_START, args[-1]))
+    recorder = RecordingHeapq()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "heapq", recorder)
+        for kind, time in events:
+            engine._schedule(time, kind, *EVENT_PAYLOADS[kind])
+        assert all(e[2] in simulator._NEAR_KINDS for e in engine._heap)
+        assert not any(e[2] in simulator._NEAR_KINDS for e in engine._timers)
+        engine.run()  # adds the flow's start and first emission
+    expected = sorted(recorder.pushed)
+    assert recorder.popped == expected
+    assert dispatched == [(e[2], e[0]) for e in expected if e[2] != simulator._TX_DONE]
+    assert engine.nodes[0].pending_tx == -sum(e[2] == simulator._TX_DONE for e in expected)
 
 
 def eager_charge(busy, window, sender, start, duration):
@@ -198,8 +270,18 @@ def test_each_link_p_c_is_looked_up_once(monkeypatch):
     # Unicast and route-plane links are broadcast links too, so both paths share them.
     assert engine._link_cache
     assert set(engine._link_cache) <= broadcast_links
-    # One lookup per directed link, plus the broadcast record at tx_range.
-    assert len(calls) == len(broadcast_links) + 1
+    # One lookup per undirected link, plus the broadcast record at tx_range.
+    undirected = {(min(u, v), max(u, v)) for u, v in broadcast_links}
+    assert len(calls) == len(undirected) + 1
+    # Where both ends have a tuple, the two directions hold the same p_c.
+    shared = 0
+    for u, v in undirected:
+        if u in engine._broadcast_p_c and v in engine._broadcast_p_c:
+            i = engine.nodes[u].neighbor_ids.index(v)
+            j = engine.nodes[v].neighbor_ids.index(u)
+            assert engine._broadcast_p_c[u][i] == engine._broadcast_p_c[v][j]
+            shared += 1
+    assert shared
     for (u, v), cost in engine._link_cache.items():
         d = distance(engine.nodes[u].position, engine.nodes[v].position)
         assert cost.p_c == lookup_p_c(table, engine.density, d)
@@ -275,6 +357,45 @@ def run_cfg(extra=""):
         "[sim]\nduration_s = 5.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
         + extra
     )
+
+
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_hellos_reach_on_hello_and_nothing_else(monkeypatch, protocol):
+    node_cls = QgrpNode if protocol == "qgrp" else AodvNode
+    hellos, packets = [], []
+    original_packet = node_cls.on_packet
+
+    def on_packet(self, pkt, from_id, now):
+        packets.append(pkt)
+        return original_packet(self, pkt, from_id, now)
+
+    monkeypatch.setattr(node_cls, "on_packet", on_packet)
+    if protocol == "qgrp":
+        original_hello = QgrpNode.on_hello
+
+        def on_hello(self, pkt, now):
+            hellos.append(pkt)
+            return original_hello(self, pkt, now)
+
+        monkeypatch.setattr(QgrpNode, "on_hello", on_hello)
+    cfg = run_cfg(f"[protocol]\nname = {protocol}\n"
+                  "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n")
+    result = run_scenario(cfg)
+    log = result.event_log
+    sink = result.engine.sink_id
+    assert not any(row[2] == "death" for row in log)
+    rx = [row for row in log if row[2] == "rx"]
+    hello_rx = sum(1 for row in rx if row[3] == "hello")
+    delivered = sum(1 for row in rx if row[1] == sink and row[3] == "data")
+    assert delivered > 0
+    assert not any(isinstance(pkt, Hello) for pkt in packets)
+    assert len(hellos) == hello_rx
+    # Every reception but a hello or the sink's data reaches on_packet.
+    assert len(packets) == len(rx) - hello_rx - delivered > 0
+    if protocol == "qgrp":
+        assert hello_rx > 0
+    else:
+        assert hello_rx == 0
 
 
 def test_zero_flows_spends_energy_on_hellos_only():
