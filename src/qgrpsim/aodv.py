@@ -114,7 +114,7 @@ class AodvNode:
         pkt = AodvRreq(self.id, self.rreq_counter, self.own_seq, known, 0)
         self.seen.add((self.id, self.rreq_counter))
         return [
-            Broadcast(pkt, self.env.aodv.rreq_bits),
+            Broadcast(pkt, self.env.pkt.rreq),
             StartTimer(self.env.retry.rrep_wait, "aodv_timeout", (self.rreq_counter,)),
         ]
 
@@ -127,15 +127,15 @@ class AodvNode:
         if self.id == self.env.sink_id:
             self.own_seq = max(self.own_seq, pkt.dest_seq_known) + 1
             rrep = AodvRrep(pkt.source, self.own_seq, 0)
-            return [Unicast(from_id, rrep, self.env.aodv.rrep_bits)]
+            return [Unicast(from_id, rrep, self.env.pkt.rrep)]
         cached = self.valid_route(self.env.sink_id, now)
         if cached is not None and cached.dest_seq >= pkt.dest_seq_known:
             rrep = AodvRrep(pkt.source, cached.dest_seq, cached.hop_count)
-            return [Unicast(from_id, rrep, self.env.aodv.rrep_bits)]
+            return [Unicast(from_id, rrep, self.env.pkt.rrep)]
         if pkt.hop_count + 1 >= self.env.aodv.ttl:
             return []
         fwd = replace(pkt, hop_count=pkt.hop_count + 1)
-        return [Broadcast(fwd, self.env.aodv.rreq_bits)]
+        return [Broadcast(fwd, self.env.pkt.rreq)]
 
     def _handle_rrep(self, pkt: AodvRrep, from_id: int, now: float) -> list:
         hops = pkt.hop_count + 1
@@ -146,7 +146,7 @@ class AodvNode:
         reverse = self.valid_route(pkt.origin, now)
         if reverse is None:
             return []
-        return [Unicast(reverse.next_hop, replace(pkt, hop_count=hops), self.env.aodv.rrep_bits)]
+        return [Unicast(reverse.next_hop, replace(pkt, hop_count=hops), self.env.pkt.rrep)]
 
     def _flush_flows(self, now: float) -> list:
         effects = []

@@ -98,8 +98,8 @@ class PacketSizes:
 
 @dataclass(frozen=True)
 class AodvConfig:
-    rreq_bits: int = param(320, check=POSITIVE)
-    rrep_bits: int = param(320, check=POSITIVE)
+    """AODV's own settings; its RREQ and RREP sizes are [pkt]'s, as QGRP's are."""
+
     active_route_timeout: float = param(3.0, "active_route_timeout_s", POSITIVE)
     ttl: int = param(30, check=at_least(1))  # hops
 

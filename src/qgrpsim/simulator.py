@@ -9,24 +9,36 @@ in between, and a hello reception goes straight to the receiver's
 `on_hello`.  One run is strictly single-threaded; independent runs share
 no mutable state.
 
-Pending events sit in two heaps.  The near queue, `Engine._heap`, holds
+Pending events sit in three queues.  The near queue, `Engine._heap`, holds
 receptions and transmission ends, which are almost every event.  The timer
 queue, `Engine._timers`, holds timers, emissions and flow starts, among them
 one pending hello timer per QGRP node; kept apart, those timers no longer
 sit between each reception and the root of the heap it is pushed to and
-popped from.  `Engine.run` pops whichever head is earlier by (time,
-sequence), so events dispatch in the order of one merged heap.
+popped from.  A transmission's receptions take one near-queue entry, with
+one block of consecutive sequence numbers reserved for its receivers, in
+neighbour order.  Popping reception k of a block puts reception k + 1, at
+the same time and the next sequence number, in the ready queue,
+`Engine._ready`, which holds at most that one entry.  `Engine.run` pops the
+ready entry whenever there is one, and otherwise whichever head of the
+other two is earlier by (time, sequence), so events dispatch in the order
+of one merged heap.  The ready entry is always that order's next event: an
+event pending before the block either was due before the block's first
+reception, and has been dispatched, or is due after its last, because its
+sequence number lies outside the block; and anything a handler schedules
+gets a later sequence number.
 
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
-the engine keeps to this: every event is popped through this module's
-`heapq.heappop`, and no `heapq` function but `heappush` and `heappop` is
-called; `_on_arrival` runs once per `rx` row, and a protocol's `on_hello`
-once per hello `rx` row; and every name the tracer wraps keeps its name.
+the engine keeps to this: every event, each reception of a block among
+them, is popped through this module's `heapq.heappop`, and no `heapq`
+function but `heappush` and `heappop` is called; `_on_arrival` runs once
+per `rx` row, and a protocol's `on_hello` once per hello `rx` row; and
+every name the tracer wraps keeps its name.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from bisect import bisect_left
 from collections import defaultdict
@@ -41,7 +53,8 @@ from .params import POSITIVE, check_params, param
 from .qgrp import AdmissionNotify, Hello, QgrpNode, Rrep, Rreq
 
 # Event kinds.  An event is the flat record (time, sequence, kind, *payload),
-# dispatched in (time, sequence) order.
+# dispatched in (time, sequence) order.  An _ARRIVAL's payload is (receivers, k,
+# sender id, packet, bits): reception k of a block whose sequence is its first's + k.
 _ARRIVAL = 0
 _TIMER = 1
 _EMIT = 2
@@ -223,6 +236,7 @@ class Engine:
         self.event_log: list[tuple] = []
         self._heap: list = []    # near queue: _NEAR_KINDS
         self._timers: list = []  # timers, emissions and flow starts
+        self._ready: list = []   # the next reception of the block being dispatched
         self._seq = 0
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
@@ -250,22 +264,33 @@ class Engine:
         nodes = self.topology.nodes
         tx = self.topology.tx_range
         cs = self.cfg.dcf.params.carrier_sense_radius
+        ids = [node.id for node in nodes]
+        xs = [node.position.x for node in nodes]
+        ys = [node.position.y for node in nodes]
+        hypot = math.hypot
         neigh = [[] for _ in nodes]
-        cs_ids = [[node.id] for node in nodes]  # a node always senses itself
-        # distance() is symmetric to the last bit, so each pair is measured once.
-        for i, node in enumerate(nodes):
-            for j in range(i + 1, len(nodes)):
-                other = nodes[j]
-                d = distance(node.position, other.position)
+        cs_ids = [[] for _ in nodes]
+        # Node ids index nodes, and rows fill in id order, so every list comes out sorted.
+        # The ids are the nodes' own objects: a range would make a new int above 256 for
+        # every pair, and the tuples would keep each one alive.
+        # hypot takes distance(node.position, other.position)'s operands, and that is
+        # symmetric to the last bit, so each pair is measured once.
+        for i, x, y in zip(ids, xs, ys):
+            sensed_i = cs_ids[i]
+            neigh_i = neigh[i]
+            sensed_i.append(i)  # a node always senses itself
+            k = i + 1
+            for j, xj, yj in zip(ids[k:], xs[k:], ys[k:]):
+                d = hypot(xj - x, yj - y)
                 if d <= cs:
-                    cs_ids[i].append(other.id)
-                    cs_ids[j].append(node.id)
+                    sensed_i.append(j)
+                    cs_ids[j].append(i)
                 if d <= tx:
-                    neigh[i].append(other.id)
-                    neigh[j].append(node.id)
-        for node, ids, sensed in zip(nodes, neigh, cs_ids):
-            node.neighbor_ids = tuple(sorted(ids))
-            node.cs_ids = tuple(sorted(sensed))
+                    neigh_i.append(j)
+                    neigh[j].append(i)
+        for node, near, sensed in zip(nodes, neigh, cs_ids):
+            node.neighbor_ids = tuple(near)
+            node.cs_ids = tuple(sensed)
 
     def _assign_sources(self, flows) -> list[Flow]:
         candidates = sorted(i for i in self.nodes if i != self.sink_id)
@@ -290,6 +315,15 @@ class Engine:
         self._seq += 1
         queue = self._heap if kind in _NEAR_KINDS else self._timers
         heapq.heappush(queue, (time, self._seq, kind, *payload))
+
+    def _schedule_receptions(self, time, receivers, sender_id, pkt, bits):
+        """One near-queue entry for the receptions of one transmission, in receivers order.
+
+        Reserves one sequence number per receiver, consecutive from the entry's own.
+        """
+        seq = self._seq + 1
+        self._seq += len(receivers)
+        heapq.heappush(self._heap, (time, seq, _ARRIVAL, receivers, 0, sender_id, pkt, bits))
 
     def idle_fraction(self, node_id: int, now: float) -> float:
         """Idle share of node_id's last complete idle window before now."""
@@ -448,7 +482,7 @@ class Engine:
                 break
         end = self._occupy(sender, pkt, bits, to_id, attempts, spent, cost, now)
         if delivered:
-            self._schedule(end, _ARRIVAL, to_id, sender.id, pkt, bits)
+            self._schedule_receptions(end, (to_id,), sender.id, pkt, bits)
         elif isinstance(pkt, Data):
             self.log_row(now, sender.id, "drop", pkt.flow_id, pkt.sequence, "mac_loss")
 
@@ -459,15 +493,10 @@ class Engine:
         spent = self._debit(sender, cost.tx_j_per_bit * bits)
         end = self._occupy(sender, pkt, bits, -1, 1, spent, cost, now)
         draw = self.rng.random
-        push = heapq.heappush
-        heap = self._heap
-        seq = self._seq
-        sender_id = sender.id
-        for nb_id, p_c in zip(sender.neighbor_ids, self._neighbor_p_c(sender)):
-            if draw() >= p_c:
-                seq += 1
-                push(heap, (end, seq, _ARRIVAL, nb_id, sender_id, pkt, bits))
-        self._seq = seq
+        receivers = [nb_id for nb_id, p_c in zip(sender.neighbor_ids, self._neighbor_p_c(sender))
+                     if draw() >= p_c]
+        if receivers:
+            self._schedule_receptions(end, receivers, sender.id, pkt, bits)
 
     # ----- event handlers -----
 
@@ -537,10 +566,13 @@ class Engine:
     def run(self):
         """Log the set-up rows, start every node and flow, and dispatch events to the horizon.
 
-        Events pop in (time, seq) order from the merge of the two queues: the
-        head times compare as floats, and only on a tie does seq, which is
-        unique, decide, so no payload is ever compared.  The first event past
-        sim.duration is popped, dropped, and ends the run.
+        Events pop in (time, seq) order.  A pending ready entry, the next
+        reception of the block just dispatched, goes first; it is the next
+        event by (time, seq), see the module docstring.  Otherwise the earlier
+        head of the near and timer queues goes: the head times compare as
+        floats, and only on a tie does seq, which is unique, decide, so no
+        payload is ever compared.  The first event past sim.duration is
+        popped, dropped, and ends the run.
         """
         cfg = self.cfg
         for node in self.topology.nodes:
@@ -559,12 +591,16 @@ class Engine:
         duration = cfg.sim.duration
         heap = self._heap
         timers = self._timers
+        ready = self._ready
         heappop = heapq.heappop
         nodes = self.nodes
         on_arrival = self._on_arrival
         while True:
-            # The earlier head by (time, seq): times compare as floats, seq breaks a tie.
-            if heap:
+            # A ready entry is the next event; otherwise the earlier head by (time, seq):
+            # times compare as floats, seq breaks a tie.
+            if ready:
+                event = heappop(ready)
+            elif heap:
                 event = heap[0]
                 if timers:
                     head = timers[0]
@@ -586,7 +622,12 @@ class Engine:
             self.now = time
             kind = event[2]
             if kind == _ARRIVAL:
-                on_arrival(event[3], event[4], event[5], event[6], time)
+                receivers = event[3]
+                k = event[4]
+                if k + 1 < len(receivers):
+                    ready.append((time, event[1] + 1, _ARRIVAL, receivers, k + 1, event[5],
+                                  event[6], event[7]))
+                on_arrival(receivers[k], event[5], event[6], event[7], time)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

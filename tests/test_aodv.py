@@ -59,6 +59,18 @@ def test_line_discovery_via_middle_node():
     assert len(sent) == 1 and sent[0].to == 1
 
 
+def test_control_packets_take_the_pkt_sizes():
+    env = line_env()
+    env.pkt = replace(env.pkt, rreq=400, rrep=480)
+    a, b, c = (AodvNode(i, env) for i in range(3))
+    a.start_flow(5, 1e5, 1.0)
+    (rreq,) = [e for e in a.on_data_emit(5, 2000, 0, 1.0) if isinstance(e, Broadcast)]
+    (relayed,) = [e for e in b._handle_rreq(rreq.packet, 0, 1.001) if isinstance(e, Broadcast)]
+    (rrep,) = c._handle_rreq(relayed.packet, 1, 1.002)
+    (back,) = b._handle_rrep(rrep.packet, 2, 1.003)
+    assert (rreq.bits, relayed.bits, rrep.bits, back.bits) == (400, 400, 480, 480)
+
+
 def test_duplicate_rreq_suppressed():
     env = line_env()
     b = AodvNode(1, env)

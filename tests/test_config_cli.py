@@ -49,6 +49,10 @@ def test_unknown_key_rejected():
     # [dcf] has no switch between collision forms: the model has one.
     with pytest.raises(ConfigError, match=r"^dcf\.reduced: unknown key"):
         parse_config("[dcf]\nreduced = false\n")
+    # AODV's RREQ and RREP sizes are [pkt]'s: [aodv] has no copy of them.
+    for name in ("rreq_bits", "rrep_bits"):
+        with pytest.raises(ConfigError, match=rf"^aodv\.{name}: unknown key"):
+            parse_config(f"[aodv]\n{name} = 320\n")
 
 
 def test_unknown_section_rejected():
@@ -124,8 +128,6 @@ BAD_VALUES = [
     ("pkt.rrep_bits", "[pkt]\nrrep_bits = 0\n"),
     ("pkt.notify_bits", "[pkt]\nnotify_bits = 0\n"),
     ("pkt.data_header_bits", "[pkt]\ndata_header_bits = 0\n"),
-    ("aodv.rreq_bits", "[aodv]\nrreq_bits = 0\n"),
-    ("aodv.rrep_bits", "[aodv]\nrrep_bits = 0\n"),
     ("aodv.active_route_timeout_s", "[aodv]\nactive_route_timeout_s = 0\n"),
     ("aodv.ttl", "[aodv]\nttl = 0\n"),
     ("sim.duration_s", "[sim]\nduration_s = 0\n"),
@@ -297,9 +299,9 @@ TINY = (
 
 
 @pytest.mark.parametrize("document,digest", [
-    ("", "bcfd80fefa195131603bfc83e49374ede49c73213da8cf29c1327b44e7468f42"),
+    ("", "70d29dd6b0873fface2ea18d8ffd18bb4c51cf31e9776fc07b465b399789fc48"),
     (TINY + "[experiment]\nsizes = 12,20\n[flow:2]\nrate_bps = 5e4\nsource = 3\n",
-     "137b3c9484d63bf9a09462de498459ccc20916bdd93461c80d478e0ab26c4448"),
+     "a5059ffc22e3e3f5529ac1ed4ce6168109af4901014e81aa20b9267b0ca9e96b"),
 ])
 def test_emitted_text_is_pinned(document, digest):
     """sha256 of emit_config's text: the emitted format is fixed byte for byte."""
@@ -351,6 +353,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("[weights]\nalpha = 2.0\n")
+    assert main(["run", "-c", str(bad), "-o", str(out)]) == 2
+    bad.write_text(TINY + "[aodv]\nrreq_bits = 320\n")
     assert main(["run", "-c", str(bad), "-o", str(out)]) == 2
     assert main(["run", "-c", str(tmp_path / "missing.cfg"), "-o", str(out)]) == 2
 

@@ -13,7 +13,7 @@ from qgrpsim.actions import Data
 from qgrpsim.aodv import AodvNode
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
-from qgrpsim.geometry import distance
+from qgrpsim.geometry import Position, distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.qgrp import Hello, QgrpNode
 from qgrpsim.simulator import (
@@ -50,17 +50,52 @@ def test_topology_deterministic():
     ]
 
 
-def test_adjacency_matches_per_node_scan():
-    cfg = parse_config("[topology]\nn = 60\nseed = 4\n")
-    engine = Engine(cfg, table=constant_table(0.0))
+def assert_adjacency_matches_per_node_scan(engine):
     nodes = engine.topology.nodes
-    cs = cfg.dcf.params.carrier_sense_radius
+    tx = engine.topology.tx_range
+    cs = engine.cfg.dcf.params.carrier_sense_radius
     for node in nodes:
         dist = {o.id: distance(node.position, o.position) for o in nodes}
         assert node.neighbor_ids == tuple(
-            i for i in sorted(dist) if i != node.id and dist[i] <= cfg.topology.tx_range
+            i for i in sorted(dist) if i != node.id and dist[i] <= tx
         )
         assert node.cs_ids == tuple(i for i in sorted(dist) if dist[i] <= cs)
+
+
+def test_adjacency_matches_per_node_scan():
+    cfg = parse_config("[topology]\nn = 60\nseed = 4\n")
+    assert_adjacency_matches_per_node_scan(Engine(cfg, table=constant_table(0.0)))
+
+
+# Unit offsets along the axes: from integer coordinates they land exactly on a radius.
+AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1000), st.integers(0, 1000), st.lists(st.one_of(
+    st.tuples(st.just("free"), st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
+    st.tuples(st.sampled_from(["tx", "cs"]), st.integers(0, 100), st.sampled_from(AXES)),
+), min_size=1, max_size=24))
+def test_adjacency_matches_distance_reference(x0, y0, placements):
+    cfg = parse_config(f"[topology]\nn = {len(placements) + 1}\n")
+    engine = Engine(cfg, table=constant_table(0.0))
+    radius = {"tx": cfg.topology.tx_range, "cs": cfg.dcf.params.carrier_sense_radius}
+    positions = [Position(float(x0), float(y0))]
+    anchored = [positions[0]]  # integer coordinates
+    for how, a, b in placements:
+        if how == "free":
+            positions.append(Position(a, b))
+            continue
+        base = anchored[a % len(anchored)]
+        r = radius[how]
+        placed = Position(base.x + b[0] * r, base.y + b[1] * r)
+        assert distance(base, placed) == distance(placed, base) == r
+        positions.append(placed)
+        anchored.append(placed)
+    for node, position in zip(engine.topology.nodes, positions):
+        node.position = position
+    engine._precompute_adjacency()
+    assert_adjacency_matches_per_node_scan(engine)
 
 
 def test_topology_positions_inside_field():
@@ -115,17 +150,28 @@ def test_event_before_its_cause_raises():
 
 
 class RecordingHeapq:
-    """Stands in for the engine's `heapq` module and records every push and pop."""
+    """Stands in for the engine's `heapq` module and records every push and pop.
 
-    def __init__(self):
+    Given an engine, it also records the near queue's peak length, and at
+    each pop how long the ready queue was and whether the pop took from it.
+    """
+
+    def __init__(self, engine=None):
+        self.engine = engine
         self.pushed = []
         self.popped = []
+        self.near_peak = 0
+        self.ready_at_pop = []
 
     def heappush(self, heap, item):
         self.pushed.append(item)
         heapq.heappush(heap, item)
+        if self.engine is not None and heap is self.engine._heap:
+            self.near_peak = max(self.near_peak, len(heap))
 
     def heappop(self, heap):
+        if self.engine is not None:
+            self.ready_at_pop.append((len(self.engine._ready), heap is self.engine._ready))
         item = heapq.heappop(heap)
         self.popped.append(item)
         return item
@@ -141,13 +187,12 @@ class StubProtocol:
         return []
 
     def on_timer(self, kind, payload, now):
-        self.dispatched.append((simulator._TIMER, now))
+        self.dispatched.append((simulator._TIMER, now, None))
         return []
 
 
-# A payload of the right arity for each event kind; the stub handlers ignore it.
+# A payload of the right arity for each non-reception kind; the stub handlers ignore it.
 EVENT_PAYLOADS = {
-    simulator._ARRIVAL: (1, 0, None, 0),
     simulator._TX_DONE: (0,),
     simulator._TIMER: (0, "stub", ()),
     simulator._EMIT: (0, 0),
@@ -155,31 +200,82 @@ EVENT_PAYLOADS = {
 }
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(sorted(EVENT_PAYLOADS)),
-                          st.sampled_from([0.0, 0.25, 1.0, 2.5, 5.0]) | st.floats(0.0, 5.0)),
+def expand_receptions(entries):
+    """Each queue entry as the events it dispatches: a reception block gives one per receiver."""
+    out = []
+    for e in entries:
+        if e[2] == simulator._ARRIVAL:
+            time, seq, kind, receivers = e[:4]
+            out += [(time, seq + k, kind, receivers, k) + e[5:] for k in range(len(receivers))]
+        else:
+            out.append(e)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(EVENT_PAYLOADS) + [simulator._ARRIVAL] * 2),
+                          st.sampled_from([0.0, 0.25, 1.0, 2.5, 5.0]) | st.floats(0.0, 5.0),
+                          st.integers(1, 5)),
                 max_size=40))
 def test_run_merges_both_queues_in_time_seq_order(events):
-    # Few distinct times, so many events tie across the two queues.
+    # Few distinct times, so many events tie across the queues.  A reception block of
+    # one receiver is a unicast's; of 2-5, a broadcast's.
     engine = Engine(run_cfg("[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"))
     dispatched = []
     for node in engine.topology.nodes:
         node.protocol = StubProtocol(dispatched)
-    engine._on_arrival = lambda *args: dispatched.append((simulator._ARRIVAL, args[-1]))
-    engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1]))
-    engine._on_flow_start = lambda *args: dispatched.append((simulator._FLOW_START, args[-1]))
-    recorder = RecordingHeapq()
+    engine._on_arrival = lambda to_id, *args: dispatched.append(
+        (simulator._ARRIVAL, args[-1], to_id))
+    engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1], None))
+    engine._on_flow_start = lambda *args: dispatched.append(
+        (simulator._FLOW_START, args[-1], None))
+    recorder = RecordingHeapq(engine)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "heapq", recorder)
-        for kind, time in events:
-            engine._schedule(time, kind, *EVENT_PAYLOADS[kind])
+        for kind, time, receivers in events:
+            if kind == simulator._ARRIVAL:
+                near = len(engine._heap)
+                engine._schedule_receptions(time, tuple(range(1, receivers + 1)), 0, None, 0)
+                assert len(engine._heap) == near + 1  # one entry per transmission
+            else:
+                engine._schedule(time, kind, *EVENT_PAYLOADS[kind])
         assert all(e[2] in simulator._NEAR_KINDS for e in engine._heap)
         assert not any(e[2] in simulator._NEAR_KINDS for e in engine._timers)
         engine.run()  # adds the flow's start and first emission
-    expected = sorted(recorder.pushed)
+    expected = sorted(expand_receptions(recorder.pushed))
     assert recorder.popped == expected
-    assert dispatched == [(e[2], e[0]) for e in expected if e[2] != simulator._TX_DONE]
+    # Every dispatched event has a sequence number of its own.
+    assert len({e[1] for e in recorder.popped}) == len(recorder.popped)
+    # The ready queue holds at most one entry, and a pending one is always popped first.
+    assert all(size <= 1 and (from_ready or size == 0)
+               for size, from_ready in recorder.ready_at_pop)
+    assert engine._ready == []
+    assert dispatched == [(e[2], e[0], e[3][e[4]] if e[2] == simulator._ARRIVAL else None)
+                          for e in expected if e[2] != simulator._TX_DONE]
     assert engine.nodes[0].pending_tx == -sum(e[2] == simulator._TX_DONE for e in expected)
+
+
+def test_aodv_flood_keeps_the_near_queue_short():
+    # Every node repeats the first RREQ flood; its receptions must not pile up one entry each.
+    flows = "".join(f"[flow:{i}]\nrate_bps = 20000.0\n" for i in range(3))
+    cfg = parse_config("[topology]\nn = 200\n[protocol]\nname = aodv\n"
+                       "[sim]\nduration_s = 40.0\n" + flows)
+    engine = Engine(cfg, seed=1)
+    recorder = RecordingHeapq(engine)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "heapq", recorder)
+        engine.run()
+    log = engine.event_log
+    rx = sum(row[2] == "rx" for row in log)
+    assert not any(row[2] == "death" for row in log)
+    assert sum(row[2] == "rx" and row[3] == "aodvrreq" for row in log) > 20 * cfg.topology.n
+    assert recorder.near_peak < 3 * cfg.topology.n, recorder.near_peak
+    # One near-queue entry per transmission that reached anyone, one reception per rx row.
+    horizon = cfg.sim.duration
+    blocks = [e for e in recorder.pushed if e[2] == simulator._ARRIVAL]
+    assert len(blocks) <= sum(row[2] == "tx" for row in log)
+    assert sum(len(e[3]) for e in blocks if e[0] <= horizon) == rx
+    assert sum(e[2] == simulator._ARRIVAL and e[0] <= horizon for e in recorder.popped) == rx
 
 
 def eager_charge(busy, window, sender, start, duration):
