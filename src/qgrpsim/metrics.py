@@ -37,6 +37,19 @@ class RunMetrics:
 METRIC_NAMES = tuple(f.name for f in fields(RunMetrics))
 
 
+def left_sum(values) -> float:
+    """Add values left to right, starting from int 0, as sum() did before Python 3.12.
+
+    From 3.12 on, sum() adds floats with compensation, so its last bits
+    depend on the interpreter; this fold gives the same bits on every one.
+    Like sum(), it gives int 0 for no values.
+    """
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def compute_metrics(event_log: list[tuple], cfg) -> RunMetrics:
     """Fold one event log into the six performance figures."""
     initial: dict[int, float] = {}
@@ -76,15 +89,15 @@ def compute_metrics(event_log: list[tuple], cfg) -> RunMetrics:
 
     pdr = len(delivered) / originated if originated else None
     delays = [t - origin_ts for t, origin_ts, _ in delivered.values()]
-    mean_delay = sum(delays) / len(delays) if delays else None
+    mean_delay = left_sum(delays) / len(delays) if delays else None
 
     residuals = [initial[i] - dissipated.get(i, 0.0) for i in sorted(initial)]
-    mean_residual = sum(residuals) / len(residuals)
-    variance = sum((r - mean_residual) ** 2 for r in residuals) / len(residuals)
+    mean_residual = left_sum(residuals) / len(residuals)
+    variance = left_sum((r - mean_residual) ** 2 for r in residuals) / len(residuals)
     std_energy = math.sqrt(variance)
 
     active = sources | data_transmitters
-    spent = sum(dissipated.get(i, 0.0) for i in sorted(active))
+    spent = left_sum(dissipated.get(i, 0.0) for i in sorted(active))
     efficiency = spent / len(delivered) if delivered else None
 
     return RunMetrics(throughput, pdr, mean_delay, mean_residual, efficiency, std_energy)
@@ -119,10 +132,10 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
             mean[name] = None
             stderr[name] = None
             continue
-        m = sum(defined) / len(defined)
+        m = left_sum(defined) / len(defined)
         mean[name] = m
         if len(defined) > 1:
-            var = sum((v - m) ** 2 for v in defined) / (len(defined) - 1)
+            var = left_sum((v - m) ** 2 for v in defined) / (len(defined) - 1)
             stderr[name] = math.sqrt(var / len(defined))
         else:
             stderr[name] = 0.0

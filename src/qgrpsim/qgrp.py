@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace
 from .actions import Broadcast, Data, StartTimer, Unicast, fail, hold
 from .geometry import deviation_angle, distance, is_forward_progress
 from .link_estimation import NeighborRecord, is_fresh, refresh_estimates
+from .metrics import left_sum
 from .params import FRACTION, check_params, param
 
 # Guards keeping the metric finite for collinear or co-located candidates.
@@ -194,7 +195,7 @@ class QgrpNode:
 
     def reserved_toward(self, peer: int) -> float:
         """Bandwidth committed toward peer, summed over every flow's reservation."""
-        return sum(r.bandwidth for r in self.reservations.values() if r.peer == peer)
+        return left_sum(r.bandwidth for r in self.reservations.values() if r.peer == peer)
 
     def _reserve(self, flow_id: int, peer: int, bandwidth: float, now: float, confirmed: bool) -> None:
         prior = self.reservations.get(flow_id)

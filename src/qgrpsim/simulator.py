@@ -27,6 +27,12 @@ reception, and has been dispatched, or is due after its last, because its
 sequence number lies outside the block; and anything a handler schedules
 gets a later sequence number.
 
+A ready entry also has the time of the reception dispatched just before
+it, and no handler sets `Engine.now`.  So `run` dispatches it straight to
+`_on_arrival`, without the horizon test, the causality test, the
+`Engine.now` store or the kind dispatch: the block's first reception
+passed them at that same time, and the entry can only be a reception.
+
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
 them, is popped through this module's `heapq.heappop`, and no `heapq`
@@ -70,7 +76,7 @@ _PKT_KINDS = {cls: cls.__name__.lower()
 _NODE_CLASSES = {"qgrp": QgrpNode, "aodv": AodvNode}
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeEnergy:
     """Residual and initial battery charge of one sensor, in joules."""
 
@@ -84,7 +90,7 @@ class NodeEnergy:
             raise ValueError(f"residual must lie in [0, initial], got {self.residual}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorNode:
     """Physical state of one sensor; protocol state hangs off `protocol`."""
 
@@ -188,10 +194,10 @@ class _ProtocolEnv:
     """Node-facing view of the engine: positions, link costs, config sections and callbacks."""
 
     def __init__(self, engine):
-        self._engine = engine
+        self._nodes = engine.nodes
         cfg = engine.cfg
         self.sink_id = engine.sink_id
-        self.positions = {node.id: node.position for node in engine.topology.nodes}
+        self.positions = [node.position for node in engine.nodes]
         self.link_cost = engine.link_cost
         self.log = engine.log_row
         self.idle_fraction = engine.idle_fraction
@@ -200,14 +206,17 @@ class _ProtocolEnv:
         self.rng = engine.rng
 
     def residual(self, node_id):
-        return self._engine.nodes[node_id].energy.residual
+        return self._nodes[node_id].energy.residual
 
     def alive(self, node_id):
-        return self._engine.nodes[node_id].alive
+        return self._nodes[node_id].alive
 
 
 class Engine:
-    """One seeded simulation run for one protocol."""
+    """One seeded simulation run for one protocol.
+
+    `nodes` is `topology.nodes`, indexed by node id: node i is `nodes[i]`.
+    """
 
     def __init__(self, cfg, seed: int | None = None, table: CollisionTable | None = None):
         self.cfg = cfg
@@ -221,7 +230,7 @@ class Engine:
             cfg.energy.initial,
         )
         self.sink_id = self.topology.sink_id
-        self.nodes = {node.id: node for node in self.topology.nodes}
+        self.nodes = self.topology.nodes
         self.table = table if table is not None else build_table(
             cfg.dcf.table_densities, cfg.dcf.table_distances, cfg.dcf.params)
         for density, row in zip(self.table.densities, self.table.p_c_grid):
@@ -254,14 +263,14 @@ class Engine:
         self._settled_through = -1
         self._precompute_adjacency()
         self.env = _ProtocolEnv(self)
-        for node in self.topology.nodes:
+        for node in self.nodes:
             node.protocol = node_cls(node.id, self.env)
         self.flows = self._assign_sources(cfg.flows)
 
     # ----- setup -----
 
     def _precompute_adjacency(self):
-        nodes = self.topology.nodes
+        nodes = self.nodes
         tx = self.topology.tx_range
         cs = self.cfg.dcf.params.carrier_sense_radius
         ids = [node.id for node in nodes]
@@ -293,7 +302,8 @@ class Engine:
             node.cs_ids = tuple(sensed)
 
     def _assign_sources(self, flows) -> list[Flow]:
-        candidates = sorted(i for i in self.nodes if i != self.sink_id)
+        n = len(self.nodes)
+        candidates = [i for i in range(n) if i != self.sink_id]
         assigned = []
         for flow in flows:
             if flow.source is None:
@@ -301,7 +311,7 @@ class Engine:
                 src = self._setup_rng.choice(pool or candidates)
                 assigned.append(replace(flow, source=src))
             else:
-                if flow.source not in self.nodes:
+                if not 0 <= flow.source < n:
                     raise ValueError(f"flow {flow.flow_id}: unknown source {flow.source}")
                 assigned.append(flow)
         return assigned
@@ -339,9 +349,8 @@ class Engine:
 
         Each node sums its segments in charge order, starting from 0.0, so its
         totals are bit-identical to charging every node at transmission time.
-        Node ids index topology.nodes.
         """
-        nodes = self.topology.nodes
+        nodes = self.nodes
         for bucket in range(self._settled_through + 1, last + 1):
             charges = self._unsettled.pop(bucket, None)
             if charges is None:
@@ -568,21 +577,24 @@ class Engine:
 
         Events pop in (time, seq) order.  A pending ready entry, the next
         reception of the block just dispatched, goes first; it is the next
-        event by (time, seq), see the module docstring.  Otherwise the earlier
+        event by (time, seq), see the module docstring.  It goes straight to
+        `_on_arrival`: its time is the time just dispatched, which passed the
+        horizon and causality tests and is `self.now` already, because no
+        handler sets `self.now`.  Otherwise the earlier
         head of the near and timer queues goes: the head times compare as
         floats, and only on a tie does seq, which is unique, decide, so no
         payload is ever compared.  The first event past sim.duration is
         popped, dropped, and ends the run.
         """
         cfg = self.cfg
-        for node in self.topology.nodes:
+        for node in self.nodes:
             role = "sink" if node.id == self.sink_id else "sensor"
             self.log_row(0.0, node.id, "node", node.position.x, node.position.y,
                          node.energy.initial, role)
         for flow in self.flows:
             self.log_row(0.0, flow.source, "flow", flow.flow_id, flow.rate, flow.packet_bits,
                          flow.start, flow.stop, flow.required_bandwidth)
-        for node in self.topology.nodes:
+        for node in self.nodes:
             self._apply(node, node.protocol.start(0.0), 0.0)
         for i, flow in enumerate(self.flows):
             self._schedule(flow.start, _FLOW_START, i)
@@ -596,11 +608,17 @@ class Engine:
         nodes = self.nodes
         on_arrival = self._on_arrival
         while True:
-            # A ready entry is the next event; otherwise the earlier head by (time, seq):
-            # times compare as floats, seq breaks a tie.
             if ready:
-                event = heappop(ready)
-            elif heap:
+                # No checks: the entry's time was just dispatched (module docstring).
+                time, seq, _, receivers, k, sender_id, pkt, bits = heappop(ready)
+                if k + 1 < len(receivers):
+                    ready.append((time, seq + 1, _ARRIVAL, receivers, k + 1, sender_id, pkt,
+                                  bits))
+                on_arrival(receivers[k], sender_id, pkt, bits, time)
+                continue
+            # Otherwise the earlier head by (time, seq): times compare as floats, seq
+            # breaks a tie.
+            if heap:
                 event = heap[0]
                 if timers:
                     head = timers[0]

@@ -1,7 +1,7 @@
 import pytest
 
 from qgrpsim.config import parse_config
-from qgrpsim.metrics import RunMetrics, aggregate, compute_metrics
+from qgrpsim.metrics import RunMetrics, aggregate, compute_metrics, left_sum
 from qgrpsim.simulator import run_scenario
 
 
@@ -43,6 +43,19 @@ def test_throughput_counts_unique_window_bits_only():
     log.append((6.0, 1, "deliver", 7, 2, 5.5, 3000))
     m = compute_metrics(log, cfg_for(duration=10.0, warm_up=2.0))
     assert m.throughput == (2000 + 3000) / 8.0
+
+
+def test_mean_delay_adds_left_to_right():
+    # Ten delays of 0.1 fold to 0.9999999999999999 on every Python; from 3.12 on, the
+    # builtin sum() compensates and gives 1.0, so the mean would read 0.1.
+    log = [node_row(0), node_row(1, role="sink")]
+    log += [(0.1, 1, "deliver", 7, seq, 0.0, 2000) for seq in range(10)]
+    assert compute_metrics(log, cfg_for()).mean_delay == 0.9999999999999999 / 10
+    assert 0.9999999999999999 / 10 != 0.1
+
+
+def test_left_sum_of_nothing_is_int_zero():
+    assert left_sum([]) == 0 and type(left_sum([])) is int
 
 
 def test_aggregate_single_run_is_identity():

@@ -16,6 +16,7 @@ from qgrpsim.qgrp import (
     MetricWeights,
     MissingEstimateError,
     QgrpNode,
+    Reservation,
     Rrep,
     RouteEntry,
     Rreq,
@@ -244,6 +245,17 @@ def line_env(policy="retry"):
         3: Position(600, 0),  # sink
     }
     return StubEnv(positions, sink_id=3, policy=policy)
+
+
+def test_reserved_toward_adds_left_to_right():
+    # Ten reservations of 0.1 fold to 0.9999999999999999 on every Python; from 3.12
+    # on, the builtin sum() compensates and gives 1.0.
+    node = QgrpNode(0, line_env())
+    for flow_id in range(10):
+        node.reservations[flow_id] = Reservation(1, 0.1, True, 0.0)
+    node.reservations[10] = Reservation(2, 0.5, True, 0.0)  # toward another peer
+    assert node.reserved_toward(1) == 0.9999999999999999
+    assert node.reserved_toward(3) == 0
 
 
 def test_sink_replies_with_incremented_sequence():

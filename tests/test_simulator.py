@@ -2,6 +2,7 @@ import heapq
 import math
 import random
 import statistics
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -339,7 +340,7 @@ def test_broadcast_p_c_matches_link_costs():
         "[sim]\nduration_s = 1.5\nwarm_up_s = 0.0\nrepetitions = 1\n"
     )
     engine = Engine(cfg, table=reference_table()).run()
-    assert set(engine._broadcast_p_c) == set(engine.nodes)  # every node sent a hello
+    assert set(engine._broadcast_p_c) == {n.id for n in engine.nodes}  # every node sent a hello
     for u, p_cs in engine._broadcast_p_c.items():
         assert p_cs == tuple(engine.link_cost(u, v).p_c for v in engine.nodes[u].neighbor_ids)
     # The reference grid's p_c rises with distance, so the draws differ per link.
@@ -453,6 +454,19 @@ def run_cfg(extra=""):
         "[sim]\nduration_s = 5.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
         + extra
     )
+
+
+def test_flow_source_outside_the_network_is_refused():
+    # parse_config refuses these sources; a config built directly meets the engine's check.
+    # Node ids index a list, so without it source -1 would silently be the last node.
+    cfg = run_cfg("[flow:1]\nrate_bps = 100000.0\n")
+    n = cfg.topology.n
+    for source in (-1, n):
+        flows = (replace(cfg.flows[0], source=source),)
+        with pytest.raises(ValueError, match=f"flow 1: unknown source {source}$"):
+            Engine(replace(cfg, flows=flows))
+    flows = (replace(cfg.flows[0], source=0), replace(cfg.flows[0], flow_id=2, source=n - 1))
+    assert [f.source for f in Engine(replace(cfg, flows=flows)).flows] == [0, n - 1]
 
 
 @pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
@@ -754,7 +768,7 @@ def test_sink_reception_never_reaches_the_protocol(protocol, killed):
     bits = 2160
     if killed:
         sink.energy.residual = 0.5 * radio_rx_energy(bits, engine.cfg.energy.e_elec)
-    sender = next(i for i in engine.nodes if i != sink.id)
+    sender = next(node.id for node in engine.nodes if node.id != sink.id)
     engine._on_arrival(sink.id, sender, Data(1, 2000, 0.5, 4), bits, 2.0)
     rx, *rest = engine.event_log
     assert rx[:6] == (2.0, sink.id, "rx", "data", bits, sender)
