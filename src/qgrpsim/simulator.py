@@ -9,23 +9,21 @@ in between, and a hello reception goes straight to the receiver's
 `on_hello`.  One run is strictly single-threaded; independent runs share
 no mutable state.
 
-Pending events sit in three queues.  The near queue, `Engine._heap`, holds
-receptions and transmission ends, which are almost every event.  The timer
-queue, `Engine._timers`, holds timers, emissions and flow starts, among them
-one pending hello timer per QGRP node; kept apart, those timers no longer
-sit between each reception and the root of the heap it is pushed to and
-popped from.  A transmission's receptions take one near-queue entry, with
-one block of consecutive sequence numbers reserved for its receivers, in
-neighbour order.  Popping reception k of a block puts reception k + 1, at
-the same time and the next sequence number, in the ready queue,
-`Engine._ready`, which holds at most that one entry.  `Engine.run` pops the
-ready entry whenever there is one, and otherwise whichever head of the
-other two is earlier by (time, sequence), so events dispatch in the order
-of one merged heap.  The ready entry is always that order's next event: an
-event pending before the block either was due before the block's first
-reception, and has been dispatched, or is due after its last, because its
-sequence number lies outside the block; and anything a handler schedules
-gets a later sequence number.
+Pending events sit in one heap, `Engine._heap`, ordered by (time,
+sequence), plus a one-entry ready queue.  A transmission's receptions
+take one heap entry, with one block of consecutive sequence numbers
+reserved for its receivers, in neighbour order.  Popping reception k of a
+block puts `(time, k + 1)` in the ready queue, `Engine._ready`, which holds
+at most that one entry; the block's receivers, sender, packet and bits
+stay in `run`'s locals.  `Engine.run` pops the ready entry whenever there
+is one, and otherwise the heap's root, so events dispatch in the order of
+one heap holding every reception.  The ready entry is always that order's
+next event: an event pending before the block either was due before the
+block's first reception, and has been dispatched, or is due after its
+last, because its sequence number lies outside the block; and anything a
+handler schedules gets a later sequence number.  So no other block is
+dispatched while a ready entry is pending, and `run`'s locals are still
+that entry's block.
 
 A ready entry also has the time of the reception dispatched just before
 it, and no handler sets `Engine.now`.  So `run` dispatches it straight to
@@ -35,10 +33,11 @@ passed them at that same time, and the entry can only be a reception.
 
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
-them, is popped through this module's `heapq.heappop`, and no `heapq`
-function but `heappush` and `heappop` is called; `_on_arrival` runs once
-per `rx` row, and a protocol's `on_hello` once per hello `rx` row; and
-every name the tracer wraps keeps its name.
+them, is popped through this module's `heapq.heappop`, and the first field
+of every popped entry is its time; no `heapq` function but `heappush` and
+`heappop` is called; `_on_arrival` runs once per `rx` row, and a
+protocol's `on_hello` once per hello `rx` row; and every name the tracer
+wraps keeps its name.
 """
 
 from __future__ import annotations
@@ -59,15 +58,13 @@ from .params import POSITIVE, check_params, param
 from .qgrp import AdmissionNotify, Hello, QgrpNode, Rrep, Rreq
 
 # Event kinds.  An event is the flat record (time, sequence, kind, *payload),
-# dispatched in (time, sequence) order.  An _ARRIVAL's payload is (receivers, k,
-# sender id, packet, bits): reception k of a block whose sequence is its first's + k.
+# dispatched in (time, sequence) order.  An _ARRIVAL's payload is (receivers,
+# sender id, packet, bits): a block whose reception k has sequence sequence + k.
 _ARRIVAL = 0
 _TIMER = 1
 _EMIT = 2
 _FLOW_START = 3
 _TX_DONE = 4
-# Kinds kept in the near queue, Engine._heap; the others go to Engine._timers.
-_NEAR_KINDS = (_ARRIVAL, _TX_DONE)
 
 # Packet kind written to the log for each packet class.
 _PKT_KINDS = {cls: cls.__name__.lower()
@@ -243,9 +240,8 @@ class Engine:
         self._setup_rng = random.Random(self.seed + 2_000_003)
         self.now = 0.0
         self.event_log: list[tuple] = []
-        self._heap: list = []    # near queue: _NEAR_KINDS
-        self._timers: list = []  # timers, emissions and flow starts
-        self._ready: list = []   # the next reception of the block being dispatched
+        self._heap: list = []
+        self._ready: list = []  # (time, k): reception k of the block being dispatched
         self._seq = 0
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
@@ -307,7 +303,8 @@ class Engine:
         assigned = []
         for flow in flows:
             if flow.source is None:
-                pool = [c for c in candidates if c not in {f.source for f in assigned}]
+                taken = {f.source for f in assigned}
+                pool = [c for c in candidates if c not in taken]
                 src = self._setup_rng.choice(pool or candidates)
                 assigned.append(replace(flow, source=src))
             else:
@@ -323,17 +320,16 @@ class Engine:
 
     def _schedule(self, time, kind, *payload):
         self._seq += 1
-        queue = self._heap if kind in _NEAR_KINDS else self._timers
-        heapq.heappush(queue, (time, self._seq, kind, *payload))
+        heapq.heappush(self._heap, (time, self._seq, kind, *payload))
 
     def _schedule_receptions(self, time, receivers, sender_id, pkt, bits):
-        """One near-queue entry for the receptions of one transmission, in receivers order.
+        """One heap entry for the receptions of one transmission, in receivers order.
 
         Reserves one sequence number per receiver, consecutive from the entry's own.
         """
         seq = self._seq + 1
         self._seq += len(receivers)
-        heapq.heappush(self._heap, (time, seq, _ARRIVAL, receivers, 0, sender_id, pkt, bits))
+        heapq.heappush(self._heap, (time, seq, _ARRIVAL, receivers, sender_id, pkt, bits))
 
     def idle_fraction(self, node_id: int, now: float) -> float:
         """Idle share of node_id's last complete idle window before now."""
@@ -438,6 +434,9 @@ class Engine:
         while remaining > 0.0:
             bucket = int(t / window)
             ceiling = (bucket + 1) * window
+            if ceiling <= t:  # t is an edge whose quotient rounds down: it opens bucket + 1
+                bucket += 1
+                ceiling = (bucket + 1) * window
             seg = min(remaining, ceiling - t)
             unsettled[bucket].append((cs_ids, seg))
             t += seg
@@ -575,16 +574,11 @@ class Engine:
     def run(self):
         """Log the set-up rows, start every node and flow, and dispatch events to the horizon.
 
-        Events pop in (time, seq) order.  A pending ready entry, the next
-        reception of the block just dispatched, goes first; it is the next
-        event by (time, seq), see the module docstring.  It goes straight to
-        `_on_arrival`: its time is the time just dispatched, which passed the
-        horizon and causality tests and is `self.now` already, because no
-        handler sets `self.now`.  Otherwise the earlier
-        head of the near and timer queues goes: the head times compare as
-        floats, and only on a tie does seq, which is unique, decide, so no
-        payload is ever compared.  The first event past sim.duration is
-        popped, dropped, and ends the run.
+        Events dispatch in (time, seq) order: a pending ready entry first,
+        straight to `_on_arrival` and with the block held in locals, and
+        otherwise the heap's root; the module docstring shows why this is
+        exact.  The first event past sim.duration is popped, dropped, and
+        ends the run.
         """
         cfg = self.cfg
         for node in self.nodes:
@@ -602,36 +596,22 @@ class Engine:
 
         duration = cfg.sim.duration
         heap = self._heap
-        timers = self._timers
         ready = self._ready
         heappop = heapq.heappop
         nodes = self.nodes
         on_arrival = self._on_arrival
+        receivers = sender_id = pkt = bits = last = None  # the block being dispatched
         while True:
             if ready:
                 # No checks: the entry's time was just dispatched (module docstring).
-                time, seq, _, receivers, k, sender_id, pkt, bits = heappop(ready)
-                if k + 1 < len(receivers):
-                    ready.append((time, seq + 1, _ARRIVAL, receivers, k + 1, sender_id, pkt,
-                                  bits))
+                time, k = heappop(ready)
+                if k < last:
+                    ready.append((time, k + 1))
                 on_arrival(receivers[k], sender_id, pkt, bits, time)
                 continue
-            # Otherwise the earlier head by (time, seq): times compare as floats, seq
-            # breaks a tie.
-            if heap:
-                event = heap[0]
-                if timers:
-                    head = timers[0]
-                    if head[0] < event[0] or (head[0] == event[0] and head[1] < event[1]):
-                        event = heappop(timers)
-                    else:
-                        event = heappop(heap)
-                else:
-                    event = heappop(heap)
-            elif timers:
-                event = heappop(timers)
-            else:
+            if not heap:
                 break
+            event = heappop(heap)
             time = event[0]
             if time > duration:
                 break
@@ -640,12 +620,11 @@ class Engine:
             self.now = time
             kind = event[2]
             if kind == _ARRIVAL:
-                receivers = event[3]
-                k = event[4]
-                if k + 1 < len(receivers):
-                    ready.append((time, event[1] + 1, _ARRIVAL, receivers, k + 1, event[5],
-                                  event[6], event[7]))
-                on_arrival(receivers[k], event[5], event[6], event[7], time)
+                _, _, _, receivers, sender_id, pkt, bits = event
+                last = len(receivers) - 1
+                if last:
+                    ready.append((time, 1))
+                on_arrival(receivers[0], sender_id, pkt, bits, time)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

@@ -18,6 +18,30 @@ def reference_format_log(event_log) -> str:
     return "".join(",".join(map(repr, row)) + "\n" for row in event_log) or "\n"
 
 
+def eager_charge(busy, window, sender, start, duration):
+    """Reference: add airtime to every carrier-sense node's buckets at transmission time.
+
+    busy[i] is node i's bucket -> airtime dict.
+    """
+    segments = []
+    t = start
+    remaining = duration
+    while remaining > 0.0:
+        bucket = int(t / window)
+        ceiling = (bucket + 1) * window
+        if ceiling <= t:
+            bucket += 1
+            ceiling = (bucket + 1) * window
+        seg = min(remaining, ceiling - t)
+        segments.append((bucket, seg))
+        t += seg
+        remaining -= seg
+    for other_id in sender.cs_ids:
+        other = busy[other_id]
+        for bucket, seg in segments:
+            other[bucket] = other.get(bucket, 0.0) + seg
+
+
 def constant_table(p_c: float) -> CollisionTable:
     """A one-cell collision table pinning every lookup to p_c."""
     return CollisionTable((1.0,), (1.0,), ((p_c,),))

@@ -1,10 +1,17 @@
 """Exactness oracle: the engine must log what a plainer engine logs.
 
-`PlainEngine` undoes the engine's reception blocks: it schedules each
-reception as a near-queue entry of its own, with its own sequence number,
-so every reception goes through `run`'s full dispatch and the ready queue
-never fills.  It overrides only how receptions are queued and calls the
-engine for everything else, so no formula has a second copy here.
+`PlainEngine` undoes three of the engine's optimisations, one method each:
+- `_schedule_receptions` schedules each reception as a heap entry of its
+  own, with its own sequence number, so every reception goes through
+  `run`'s full dispatch and the ready queue never fills;
+- `_neighbor_p_c` looks up every link's p_c, where the engine reuses the
+  reverse direction's;
+- `_charge_busy` adds airtime to `node.busy` at transmission time, and
+  `_settle_busy` has nothing left to do, so `idle_fraction` reads the
+  eager totals.
+Its log renders through the one-join reference.  It overrides only order,
+caching, laziness and rendering, and calls the engine for everything else,
+so no formula has a second copy here.
 """
 
 from hypothesis import given, settings
@@ -12,16 +19,32 @@ from hypothesis import strategies as st
 
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
+from qgrpsim.dcf import lookup_p_c, reference_table
+from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.simulator import Engine, format_log
+from conftest import eager_charge, reference_format_log
 
 
 class PlainEngine(Engine):
-    """One near-queue entry per reception, with the sequence numbers a block reserves."""
+    """The engine without reception blocks, p_c reuse or lazy busy time."""
 
     def _schedule_receptions(self, time, receivers, sender_id, pkt, bits):
         for to_id in receivers:
-            self._schedule(time, simulator._ARRIVAL, (to_id,), 0, sender_id, pkt, bits)
+            self._schedule(time, simulator._ARRIVAL, (to_id,), sender_id, pkt, bits)
+
+    def _neighbor_p_c(self, sender):
+        nodes = self.nodes
+        return tuple(lookup_p_c(self.table, self.density,
+                                distance(sender.position, nodes[nb_id].position))
+                     for nb_id in sender.neighbor_ids)
+
+    def _charge_busy(self, sender, start, duration):
+        eager_charge([node.busy for node in self.nodes], self.cfg.hello.idle_window, sender,
+                     start, duration)
+
+    def _settle_busy(self, last):
+        """Nothing to settle: `_charge_busy` has added every charge to node.busy."""
 
 
 @st.composite
@@ -42,14 +65,17 @@ def scenarios(draw):
         rate = draw(st.sampled_from([20_000.0, 100_000.0, 400_000.0]))
         start = draw(st.sampled_from([0.5, 1.0, 1.5]))
         lines.append(f"[flow:{flow_id}]\nrate_bps = {rate}\nstart_s = {start}\n")
-    return parse_config("".join(lines))
+    # The reference grid's p_c rises with distance, so a link's p_c depends on which link.
+    table = draw(st.sampled_from([None, reference_table()]))
+    return parse_config("".join(lines)), table
 
 
 @settings(max_examples=100, deadline=None)
 @given(scenarios())
-def test_engine_logs_what_the_plain_engine_logs(cfg):
-    fast = Engine(cfg).run()
-    plain = PlainEngine(cfg).run()
+def test_engine_logs_what_the_plain_engine_logs(scenario):
+    cfg, table = scenario
+    fast = Engine(cfg, table=table).run()
+    plain = PlainEngine(cfg, table=table).run()
     assert fast.event_log == plain.event_log
-    assert format_log(fast.event_log) == format_log(plain.event_log)
+    assert format_log(fast.event_log) == reference_format_log(plain.event_log)
     assert compute_metrics(fast.event_log, cfg) == compute_metrics(plain.event_log, cfg)

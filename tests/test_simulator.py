@@ -26,7 +26,7 @@ from qgrpsim.simulator import (
     radio_rx_energy,
     run_scenario,
 )
-from conftest import constant_table, reference_format_log
+from conftest import constant_table, eager_charge, reference_format_log
 
 
 # ----- topology -----
@@ -142,7 +142,7 @@ def test_collision_certain_table_is_rejected():
 
 
 def test_event_before_its_cause_raises():
-    # One case for each queue: a transmission end in the near queue, a timer in the other.
+    # One case for a transmission end and one for a timer.
     for kind, payload in ((simulator._TX_DONE, (0,)), (simulator._TIMER, (0, "hello", ()))):
         engine = Engine(run_cfg())
         engine._schedule(-1.0, kind, *payload)
@@ -151,28 +151,27 @@ def test_event_before_its_cause_raises():
 
 
 class RecordingHeapq:
-    """Stands in for the engine's `heapq` module and records every push and pop.
+    """Stands in for an engine's `heapq` module and records every push and pop.
 
-    Given an engine, it also records the near queue's peak length, and at
-    each pop how long the ready queue was and whether the pop took from it.
+    It also records the event heap's peak length, and at each pop how long
+    the ready queue was and whether the pop took from it.
     """
 
-    def __init__(self, engine=None):
+    def __init__(self, engine):
         self.engine = engine
         self.pushed = []
         self.popped = []
-        self.near_peak = 0
+        self.peak = 0
         self.ready_at_pop = []
 
     def heappush(self, heap, item):
         self.pushed.append(item)
         heapq.heappush(heap, item)
-        if self.engine is not None and heap is self.engine._heap:
-            self.near_peak = max(self.near_peak, len(heap))
+        if heap is self.engine._heap:
+            self.peak = max(self.peak, len(heap))
 
     def heappop(self, heap):
-        if self.engine is not None:
-            self.ready_at_pop.append((len(self.engine._ready), heap is self.engine._ready))
+        self.ready_at_pop.append((len(self.engine._ready), heap is self.engine._ready))
         item = heapq.heappop(heap)
         self.popped.append(item)
         return item
@@ -201,59 +200,61 @@ EVENT_PAYLOADS = {
 }
 
 
-def expand_receptions(entries):
-    """Each queue entry as the events it dispatches: a reception block gives one per receiver."""
-    out = []
-    for e in entries:
-        if e[2] == simulator._ARRIVAL:
-            time, seq, kind, receivers = e[:4]
-            out += [(time, seq + k, kind, receivers, k) + e[5:] for k in range(len(receivers))]
-        else:
-            out.append(e)
-    return out
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(sorted(EVENT_PAYLOADS) + [simulator._ARRIVAL] * 2),
                           st.sampled_from([0.0, 0.25, 1.0, 2.5, 5.0]) | st.floats(0.0, 5.0),
                           st.integers(1, 5)),
                 max_size=40))
-def test_run_merges_both_queues_in_time_seq_order(events):
-    # Few distinct times, so many events tie across the queues.  A reception block of
-    # one receiver is a unicast's; of 2-5, a broadcast's.
+def test_run_dispatches_in_time_seq_order(events):
+    # Few distinct times, so many events tie.  A reception block of one receiver is a
+    # unicast's; of 2-5, a broadcast's.
     engine = Engine(run_cfg("[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"))
     dispatched = []
     for node in engine.topology.nodes:
         node.protocol = StubProtocol(dispatched)
-    engine._on_arrival = lambda to_id, *args: dispatched.append(
-        (simulator._ARRIVAL, args[-1], to_id))
+    engine._on_arrival = lambda to_id, from_id, pkt, bits, now: dispatched.append(
+        (simulator._ARRIVAL, now, (to_id, from_id)))
     engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1], None))
     engine._on_flow_start = lambda *args: dispatched.append(
         (simulator._FLOW_START, args[-1], None))
     recorder = RecordingHeapq(engine)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulator, "heapq", recorder)
-        for kind, time, receivers in events:
+        for i, (kind, time, receivers) in enumerate(events):
             if kind == simulator._ARRIVAL:
-                near = len(engine._heap)
-                engine._schedule_receptions(time, tuple(range(1, receivers + 1)), 0, None, 0)
-                assert len(engine._heap) == near + 1  # one entry per transmission
+                size = len(engine._heap)
+                # Each block has a sender id of its own, so tied blocks stay apart.
+                engine._schedule_receptions(time, tuple(range(1, receivers + 1)), i, None, 0)
+                assert len(engine._heap) == size + 1  # one entry per transmission
             else:
                 engine._schedule(time, kind, *EVENT_PAYLOADS[kind])
-        assert all(e[2] in simulator._NEAR_KINDS for e in engine._heap)
-        assert not any(e[2] in simulator._NEAR_KINDS for e in engine._timers)
         engine.run()  # adds the flow's start and first emission
-    expected = sorted(expand_receptions(recorder.pushed))
+    entries = sorted(recorder.pushed)
+    # Every dispatched event has a sequence number of its own: blocks reserve theirs.
+    seqs = [e[1] + k for e in entries
+            for k in range(len(e[3]) if e[2] == simulator._ARRIVAL else 1)]
+    assert len(set(seqs)) == len(seqs)
+    # Heap pops follow (time, seq); a block's ready pops (time, 1) ... (time, len - 1)
+    # follow it straight away, and they are the only pops from the ready queue.
+    expected = []
+    for e in entries:
+        expected.append(e)
+        if e[2] == simulator._ARRIVAL:
+            expected += [(e[0], k) for k in range(1, len(e[3]))]
     assert recorder.popped == expected
-    # Every dispatched event has a sequence number of its own.
-    assert len({e[1] for e in recorder.popped}) == len(recorder.popped)
-    # The ready queue holds at most one entry, and a pending one is always popped first.
-    assert all(size <= 1 and (from_ready or size == 0)
-               for size, from_ready in recorder.ready_at_pop)
+    assert [from_ready for _, from_ready in recorder.ready_at_pop] == [
+        len(e) == 2 for e in expected]
+    # The ready queue never holds more than one entry.
+    assert all(size <= 1 for size, _ in recorder.ready_at_pop)
     assert engine._ready == []
-    assert dispatched == [(e[2], e[0], e[3][e[4]] if e[2] == simulator._ARRIVAL else None)
-                          for e in expected if e[2] != simulator._TX_DONE]
-    assert engine.nodes[0].pending_tx == -sum(e[2] == simulator._TX_DONE for e in expected)
+    expanded = []
+    for e in entries:
+        if e[2] == simulator._ARRIVAL:
+            expanded += [(e[2], e[0], (to_id, e[4])) for to_id in e[3]]
+        elif e[2] != simulator._TX_DONE:
+            expanded.append((e[2], e[0], None))
+    assert dispatched == expanded
+    assert engine.nodes[0].pending_tx == -sum(e[2] == simulator._TX_DONE for e in entries)
 
 
 def test_aodv_flood_keeps_the_near_queue_short():
@@ -270,31 +271,64 @@ def test_aodv_flood_keeps_the_near_queue_short():
     rx = sum(row[2] == "rx" for row in log)
     assert not any(row[2] == "death" for row in log)
     assert sum(row[2] == "rx" and row[3] == "aodvrreq" for row in log) > 20 * cfg.topology.n
-    assert recorder.near_peak < 3 * cfg.topology.n, recorder.near_peak
-    # One near-queue entry per transmission that reached anyone, one reception per rx row.
+    assert recorder.peak < 3 * cfg.topology.n, recorder.peak
+    # One heap entry per transmission that reached anyone, one reception per rx row: a
+    # block's first pops from the heap, the others from the ready queue as (time, k).
     horizon = cfg.sim.duration
     blocks = [e for e in recorder.pushed if e[2] == simulator._ARRIVAL]
     assert len(blocks) <= sum(row[2] == "tx" for row in log)
     assert sum(len(e[3]) for e in blocks if e[0] <= horizon) == rx
-    assert sum(e[2] == simulator._ARRIVAL and e[0] <= horizon for e in recorder.popped) == rx
+    assert sum((len(e) == 2 or e[2] == simulator._ARRIVAL) and e[0] <= horizon
+               for e in recorder.popped) == rx
 
 
-def eager_charge(busy, window, sender, start, duration):
-    """Reference: add airtime to every carrier-sense node's buckets at transmission time."""
-    segments = []
-    t = start
-    remaining = duration
-    while remaining > 0.0:
-        bucket = int(t / window)
-        ceiling = (bucket + 1) * window
-        seg = min(remaining, ceiling - t)
-        segments.append((bucket, seg))
-        t += seg
-        remaining -= seg
-    for other_id in sender.cs_ids:
-        other = busy[other_id]
-        for bucket, seg in segments:
-            other[bucket] = other.get(bucket, 0.0) + seg
+@pytest.mark.parametrize("window", [0.7, 0.1, 0.3, 1.1])
+def test_airtime_splits_at_rounded_window_edges(window):
+    # At these windows some edges k * window divide back to just below k, so t / window
+    # puts a time on such an edge in the bucket the edge closes.
+    edges = [k for k in range(1, 400) if int(k * window / window) == k - 1]
+    assert len(edges) >= 5
+    cfg = parse_config(f"[topology]\nn = 5\nseed = 2\n[hello]\nidle_window_s = {window}\n")
+    engine = Engine(cfg, table=constant_table(0.0))
+    sender = engine.nodes[0]
+    for k in edges[:20]:
+        edge = k * window
+        for start in (edge - 0.25 * window, math.nextafter(edge, 0.0), edge):
+            for duration in (0.5 * window, 2.5 * window):
+                engine._unsettled.clear()
+                engine._charge_busy(sender, start, duration)
+                buckets = list(engine._unsettled)
+                charges = [engine._unsettled[b] for b in buckets]
+                assert all(len(c) == 1 for c in charges)
+                segs = [c[0][1] for c in charges]
+                assert all(seg > 0.0 for seg in segs)
+                assert buckets == sorted(set(buckets))
+                assert buckets[0] == (k if start == edge else k - 1)
+                assert math.fsum(segs) == pytest.approx(duration, rel=1e-12)
+                ref = [{} for _ in engine.nodes]
+                eager_charge(ref, window, sender, start, duration)
+                assert ref[sender.id] == dict(zip(buckets, segs))
+
+
+def test_run_finishes_at_an_idle_window_with_rounded_edges():
+    cfg = parse_config(
+        "[topology]\nn = 20\nseed = 1\nfield_width = 400.0\nfield_height = 400.0\n"
+        "[hello]\nidle_window_s = 0.7\n"
+        "[sim]\nduration_s = 10.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"
+    )
+    engine = Engine(cfg).run()
+    log = engine.event_log
+    assert any(row[2] == "deliver" for row in log)
+    # Settled, each node's busy time is the airtime of every transmission it senses.
+    engine.idle_fraction(0, 2.0 * cfg.sim.duration + 10.0)
+    airtime = [0.0] * len(engine.nodes)
+    for row in log:
+        if row[2] == "tx":
+            for i in engine.nodes[row[1]].cs_ids:
+                airtime[i] += row[8]
+    for node in engine.nodes:
+        assert math.fsum(node.busy.values()) == pytest.approx(airtime[node.id], rel=1e-9)
 
 
 def test_settled_busy_time_equals_eager_charging():
