@@ -261,13 +261,24 @@ def _nearest_index(axis: tuple[float, ...], value: float) -> int:
 def lookup_p_c(table: CollisionTable, density: float, distance: float) -> float:
     """Collision probability for a configuration, interpolated from the table.
 
-    The density is snapped to the nearest stored row; along the distance
-    axis the two nearest stored configurations are combined by
-    inverse-distance weighting.  Queries beyond the axis range clamp to
-    the boundary configuration.
+    The density is snapped to the nearest stored row (`density_row`), and
+    the row is read at the distance (`interpolate_p_c`).
     """
-    row = table.p_c_grid[_nearest_index(table.densities, density)]
-    dist_axis = table.distances
+    return interpolate_p_c(density_row(table, density), table.distances, distance)
+
+
+def density_row(table: CollisionTable, density: float) -> tuple[float, ...]:
+    """The p_c row of the stored density nearest to density."""
+    return table.p_c_grid[_nearest_index(table.densities, density)]
+
+
+def interpolate_p_c(row: tuple[float, ...], dist_axis: tuple[float, ...],
+                    distance: float) -> float:
+    """A table row's collision probability at a distance.
+
+    The two nearest stored distances are combined by inverse-distance
+    weighting.  Queries beyond the axis range clamp to the boundary entry.
+    """
     if distance <= dist_axis[0]:
         return row[0]
     if distance >= dist_axis[-1]:

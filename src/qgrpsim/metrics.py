@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .eventlog import RxRun, log_entries
+
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -50,8 +52,11 @@ def left_sum(values) -> float:
     return total
 
 
-def compute_metrics(event_log: list[tuple], cfg) -> RunMetrics:
-    """Fold one event log into the six performance figures."""
+def compute_metrics(event_log, cfg) -> RunMetrics:
+    """Fold one event log, an `EventLog` or a plain list of rows, into the six figures.
+
+    A run of rx rows adds its joules to each receiver in order, as its rows would.
+    """
     initial: dict[int, float] = {}
     dissipated: dict[int, float] = {}
     sources: set[int] = set()
@@ -59,7 +64,12 @@ def compute_metrics(event_log: list[tuple], cfg) -> RunMetrics:
     originated = 0
     delivered: dict[tuple[int, int], tuple[float, float, int]] = {}
 
-    for row in event_log:
+    for row in log_entries(event_log):
+        if type(row) is RxRun:
+            joules = row.joules
+            for node in row.receivers:
+                dissipated[node] = dissipated.get(node, 0.0) + joules
+            continue
         kind = row[2]
         if kind == "tx":
             node = row[1]

@@ -31,6 +31,21 @@ it, and no handler sets `Engine.now`.  So `run` dispatches it straight to
 `Engine.now` store or the kind dispatch: the block's first reception
 passed them at that same time, and the entry can only be a reception.
 
+The event log, `Engine.event_log`, is an `EventLog` (module `eventlog`):
+a row tuple per entry, except that consecutive rx rows of one block are
+kept as one `RxRun`.  `_on_arrival` logs a block's first reception, like
+every unicast reception and every other row, as a plain tuple, so a block
+with one receiver costs nothing more.  It extends the log's last entry
+with a reception k >= 1 of the block, and does so only while that entry
+is the block's rx row or run, so no row logged in between (a death, a
+handler's transmission) changes places, and only when the row's joules
+are the entry's very object, which a receiver that dies on the reception
+does not consume.  The entry's time and sender objects tell that it is
+the block's: a sender's transmissions are serialised, so no two of its
+blocks share a time, and the entry holds its time object alive, so `is`
+cannot match a recycled object.  The row's packet kind and bits are then
+the entry's too.
+
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
 them, is popped through this module's `heapq.heappop`, and the first field
@@ -51,7 +66,11 @@ from dataclasses import dataclass, field, replace
 
 from .actions import Broadcast, Data, StartTimer, Unicast
 from .aodv import AodvNode, AodvRrep, AodvRreq
-from .dcf import CollisionTable, DcfParams, build_table, lookup_p_c
+# lookup_p_c stays importable from here, where the benchmark's tracer looks for it; the
+# engine itself reads p_c through interpolate_p_c, on the row its density snaps to.
+from .dcf import (CollisionTable, DcfParams, build_table, density_row, interpolate_p_c,
+                  lookup_p_c)  # noqa: F401
+from .eventlog import EventLog, RxRun, log_entries
 from .geometry import Position, distance
 from .link_estimation import mean_backoff_slots
 from .params import POSITIVE, check_params, param
@@ -239,15 +258,17 @@ class Engine:
         self.rng = random.Random(self.seed + 1_000_003)
         self._setup_rng = random.Random(self.seed + 2_000_003)
         self.now = 0.0
-        self.event_log: list[tuple] = []
+        self.event_log = EventLog()
         self._heap: list = []
         self._ready: list = []  # (time, k): reception k of the block being dispatched
         self._seq = 0
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
+        # The density is fixed per engine, so every link reads one row of the table.
+        self._p_c_row = density_row(self.table, self.density)
         tx_range = self.topology.tx_range
-        self._broadcast_cost = self._cost_at(lookup_p_c(self.table, self.density, tx_range),
-                                            tx_range)
+        self._broadcast_cost = self._cost_at(
+            interpolate_p_c(self._p_c_row, self.table.distances, tx_range), tx_range)
         # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
         # first broadcast or first link_cost, so each undirected link is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
@@ -376,12 +397,13 @@ class Engine:
         if p_cs is None:
             nodes = self.nodes
             sender_id = sender.id
+            row, dist_axis = self._p_c_row, self.table.distances
             out = []
             for nb_id in sender.neighbor_ids:
                 reverse = known.get(nb_id)
                 if reverse is None:
-                    out.append(lookup_p_c(self.table, self.density,
-                                          distance(sender.position, nodes[nb_id].position)))
+                    out.append(interpolate_p_c(
+                        row, dist_axis, distance(sender.position, nodes[nb_id].position)))
                 else:
                     out.append(reverse[bisect_left(nodes[nb_id].neighbor_ids, sender_id)])
             p_cs = known[sender_id] = tuple(out)
@@ -398,7 +420,7 @@ class Engine:
             if i < len(ids) and ids[i] == v:
                 p_c = self._neighbor_p_c(sender)[i]
             else:
-                p_c = lookup_p_c(self.table, self.density, d)
+                p_c = interpolate_p_c(self._p_c_row, self.table.distances, d)
             cost = self._link_cache[u, v] = self._cost_at(p_c, d)
         return cost
 
@@ -519,7 +541,9 @@ class Engine:
             else:
                 raise TypeError(f"unknown effect {effect!r}")
 
-    def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float):
+    def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
+                    later: bool = False):
+        """Receive pkt at to_id; `later` marks a block's reception k >= 1 (module docstring)."""
         node = self.nodes[to_id]
         pkt_type = type(pkt)
         if not node.alive:
@@ -530,7 +554,9 @@ class Engine:
         if amount is None:
             amount = self._rx_energy[bits] = radio_rx_energy(bits, self.cfg.energy.e_elec)
         consumed = self._debit(node, amount)
-        self.event_log.append((now, to_id, "rx", _PKT_KINDS[pkt_type], bits, from_id, consumed))
+        log = self.event_log
+        if not (later and log.extend_rx(now, to_id, from_id, consumed)):
+            log.append((now, to_id, "rx", _PKT_KINDS[pkt_type], bits, from_id, consumed))
         if not node.alive:
             self.log_row(now, to_id, "death")
             if isinstance(pkt, Data):
@@ -607,7 +633,7 @@ class Engine:
                 time, k = heappop(ready)
                 if k < last:
                     ready.append((time, k + 1))
-                on_arrival(receivers[k], sender_id, pkt, bits, time)
+                on_arrival(receivers[k], sender_id, pkt, bits, time, True)
                 continue
             if not heap:
                 break
@@ -641,7 +667,7 @@ class Engine:
 @dataclass
 class RunResult:
     metrics: object
-    event_log: list[tuple]
+    event_log: EventLog
     engine: Engine
 
 
@@ -658,7 +684,7 @@ def run_scenario(cfg, seed: int | None = None) -> RunResult:
 _FORMAT_CHUNK_ROWS = 4096
 
 
-def format_log(event_log: list[tuple]) -> str:
+def format_log(event_log: EventLog | list[tuple]) -> str:
     """Render the event log as newline-delimited comma-joined records.
 
     Each row renders as ",".join(map(repr, row)) + "\n"; an empty log renders
@@ -667,45 +693,40 @@ def format_log(event_log: list[tuple]) -> str:
     return "".join(_log_chunks(event_log))
 
 
-def _log_chunks(event_log: list[tuple]):
-    """Yield format_log's text in pieces of up to _FORMAT_CHUNK_ROWS rows each.
+def _log_chunks(event_log: EventLog | list[tuple]):
+    """Yield format_log's text in pieces of about _FORMAT_CHUNK_ROWS rows each.
 
-    The receptions of one broadcast share every field but the receiver id
-    (field 1) as the very same objects, so a 7-field row is rendered as
-    head + repr(receiver) + tail: the head, repr(time) + ",", is rebuilt
-    only when the time is not the previous 7-field row's time object, and
-    the tail, the reprs of fields 2-6 each led by a comma, only when one of
-    those five is not the previous 7-field row's object.  Fields are
-    matched by identity, so equal values with different reprs (0.0 and
-    -0.0, 1 and True) never share text.
+    Takes an `EventLog` or a plain list of rows.  A chunk ends after the
+    entry that brings it to _FORMAT_CHUNK_ROWS rows, so a run is never
+    split.  A run's rows differ only in the receiver id (field 1), so the
+    run renders as one join of its receivers' reprs, between the text
+    before and after that field.
     """
-    if not event_log:
+    entries = log_entries(event_log)
+    if not entries:
         yield "\n"
         return
     templates = {}  # by row length
-    prev_time = prev_kind = prev_pkt_kind = prev_bits = prev_from = prev_joules = object()
-    head = tail = ""
-    for i in range(0, len(event_log), _FORMAT_CHUNK_ROWS):
-        lines = []
-        append = lines.append
-        for row in event_log[i:i + _FORMAT_CHUNK_ROWS]:
-            if len(row) == 7:
-                t, node_id, kind, pkt_kind, bits, from_id, joules = row
-                if t is not prev_time:
-                    prev_time = t
-                    head = repr(t) + ","
-                if (joules is not prev_joules or from_id is not prev_from
-                        or bits is not prev_bits or pkt_kind is not prev_pkt_kind
-                        or kind is not prev_kind):
-                    prev_kind, prev_pkt_kind, prev_bits, prev_from, prev_joules = (
-                        kind, pkt_kind, bits, from_id, joules)
-                    tail = ",%r,%r,%r,%r,%r\n" % (kind, pkt_kind, bits, from_id, joules)
-                append(f"{head}{node_id!r}{tail}")
-            else:
-                template = templates.get(len(row))
-                if template is None:
-                    template = templates[len(row)] = ",".join(["%r"] * len(row)) + "\n"
-                append(template % row)
+    lines = []
+    rows = 0
+    for entry in entries:
+        if type(entry) is RxRun:
+            head = repr(entry.time) + ","
+            tail = ",%r,%r,%r,%r,%r\n" % ("rx", entry.pkt_kind, entry.bits, entry.sender,
+                                           entry.joules)
+            lines.append(head + (tail + head).join(map(repr, entry.receivers)) + tail)
+            rows += len(entry.receivers)
+        else:
+            template = templates.get(len(entry))
+            if template is None:
+                template = templates[len(entry)] = ",".join(["%r"] * len(entry)) + "\n"
+            lines.append(template % entry)
+            rows += 1
+        if rows >= _FORMAT_CHUNK_ROWS:
+            yield "".join(lines)
+            lines = []
+            rows = 0
+    if lines:
         yield "".join(lines)
 
 

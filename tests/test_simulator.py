@@ -13,7 +13,7 @@ from qgrpsim import simulator
 from qgrpsim.actions import Data
 from qgrpsim.aodv import AodvNode
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import DcfParams, lookup_p_c, reference_table
+from qgrpsim.dcf import DcfParams, density_row, interpolate_p_c, lookup_p_c, reference_table
 from qgrpsim.geometry import Position, distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.qgrp import Hello, QgrpNode
@@ -212,8 +212,8 @@ def test_run_dispatches_in_time_seq_order(events):
     dispatched = []
     for node in engine.topology.nodes:
         node.protocol = StubProtocol(dispatched)
-    engine._on_arrival = lambda to_id, from_id, pkt, bits, now: dispatched.append(
-        (simulator._ARRIVAL, now, (to_id, from_id)))
+    engine._on_arrival = lambda to_id, from_id, pkt, bits, now, later=False: dispatched.append(
+        (simulator._ARRIVAL, now, (to_id, from_id, later)))
     engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1], None))
     engine._on_flow_start = lambda *args: dispatched.append(
         (simulator._FLOW_START, args[-1], None))
@@ -250,7 +250,8 @@ def test_run_dispatches_in_time_seq_order(events):
     expanded = []
     for e in entries:
         if e[2] == simulator._ARRIVAL:
-            expanded += [(e[2], e[0], (to_id, e[4])) for to_id in e[3]]
+            # Only a block's receptions k >= 1 are marked later: they may extend a log run.
+            expanded += [(e[2], e[0], (to_id, e[4], k > 0)) for k, to_id in enumerate(e[3])]
         elif e[2] != simulator._TX_DONE:
             expanded.append((e[2], e[0], None))
     assert dispatched == expanded
@@ -383,12 +384,18 @@ def test_broadcast_p_c_matches_link_costs():
 
 def test_each_link_p_c_is_looked_up_once(monkeypatch):
     calls = []
+    rows = []
 
-    def counting_lookup(table, density, dist):
+    def counting_interpolate(row, dist_axis, dist):
         calls.append(dist)
-        return lookup_p_c(table, density, dist)
+        return interpolate_p_c(row, dist_axis, dist)
 
-    monkeypatch.setattr(simulator, "lookup_p_c", counting_lookup)
+    def counting_row(table, density):
+        rows.append(density)
+        return density_row(table, density)
+
+    monkeypatch.setattr(simulator, "interpolate_p_c", counting_interpolate)
+    monkeypatch.setattr(simulator, "density_row", counting_row)
     cfg = parse_config(
         "[topology]\nn = 40\nseed = 7\n"
         "[sim]\nduration_s = 3.0\nwarm_up_s = 0.0\nrepetitions = 1\n"
@@ -404,6 +411,8 @@ def test_each_link_p_c_is_looked_up_once(monkeypatch):
     # One lookup per undirected link, plus the broadcast record at tx_range.
     undirected = {(min(u, v), max(u, v)) for u, v in broadcast_links}
     assert len(calls) == len(undirected) + 1
+    # The density is fixed per engine, so its row is snapped once.
+    assert rows == [engine.density]
     # Where both ends have a tuple, the two directions hold the same p_c.
     shared = 0
     for u, v in undirected:
