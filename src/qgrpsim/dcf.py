@@ -14,7 +14,6 @@ the same virtual slot, p_c = 1 - (1 - p_a)^n.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -303,22 +302,6 @@ def table_to_csv_text(table: CollisionTable) -> str:
 def write_table_csv(table: CollisionTable, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(table_to_csv_text(table))
-
-
-def read_table_csv(path) -> CollisionTable:
-    """Read a table written by write_table_csv back into memory."""
-    cells: dict[tuple[float, float], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            cells[(float(rec["density"]), float(rec["distance_m"]))] = float(rec["p_c"])
-    densities = tuple(sorted({k[0] for k in cells}))
-    distances = tuple(sorted({k[1] for k in cells}))
-    try:
-        grid = tuple(tuple(cells[(den, dist)] for dist in distances) for den in densities)
-    except KeyError as exc:
-        raise ValueError(f"table file is missing cell {exc.args[0]}") from exc
-    return CollisionTable(densities, distances, grid)
 
 
 # Reference operating points for the contention model: collision

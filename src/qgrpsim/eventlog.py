@@ -58,26 +58,21 @@ class EventLog:
         self.entries: list = []
         self.append = self.entries.append
 
-    def extend_rx(self, time, node_id: int, sender, joules) -> bool:
-        """Add the rx row that repeats the last entry's fields with node_id, if it may.
+    def extend_rx(self, entry, node_id: int):
+        """Add the rx row that repeats entry's fields with node_id, if entry is still last.
 
-        It may when the last entry is an rx row or run whose time, sender and
-        joules are these very objects; the row's packet kind and bits are
-        then the caller's to vouch for.  Returns whether the row was added.
+        entry is an rx row or run of this log, or None, which is never last.
+        Returns the extended entry, an `RxRun`, or None when the row was not
+        added.  That the row repeats entry's fields is the caller's to vouch for.
         """
         log = self.entries
-        if not log:
-            return False
-        last = log[-1]
-        if type(last) is RxRun:
-            if last.joules is joules and last.time is time and last.sender is sender:
-                last.receivers.append(node_id)
-                return True
-        elif (len(last) == 7 and last[6] is joules and last[0] is time and last[5] is sender
-                and last[2] == "rx"):
-            log[-1] = RxRun(last, node_id)
-            return True
-        return False
+        if not log or log[-1] is not entry:
+            return None
+        if type(entry) is RxRun:
+            entry.receivers.append(node_id)
+            return entry
+        run = log[-1] = RxRun(entry, node_id)
+        return run
 
     def __iter__(self):
         for entry in self.entries:

@@ -33,18 +33,17 @@ passed them at that same time, and the entry can only be a reception.
 
 The event log, `Engine.event_log`, is an `EventLog` (module `eventlog`):
 a row tuple per entry, except that consecutive rx rows of one block are
-kept as one `RxRun`.  `_on_arrival` logs a block's first reception, like
-every unicast reception and every other row, as a plain tuple, so a block
-with one receiver costs nothing more.  It extends the log's last entry
-with a reception k >= 1 of the block, and does so only while that entry
-is the block's rx row or run, so no row logged in between (a death, a
-handler's transmission) changes places, and only when the row's joules
-are the entry's very object, which a receiver that dies on the reception
-does not consume.  The entry's time and sender objects tell that it is
-the block's: a sender's transmissions are serialised, so no two of its
-blocks share a time, and the entry holds its time object alive, so `is`
-cannot match a recycled object.  The row's packet kind and bits are then
-the entry's too.
+kept as one `RxRun`.  `_on_arrival` returns the log entry that holds its
+rx row, and `run` hands it to the block's next reception; a block's first
+reception gets None.  That reception logs its row, like every unicast
+reception and every other row, as a plain tuple, so a block with one
+receiver costs nothing more.  A later reception extends the entry it is
+handed, and only while that entry is still the log's last, so no row
+logged in between (a death, a handler's transmission) changes places.
+The entry then holds rows of this block alone, so its time, packet kind,
+bits and sender are the reception's own.  Its joules are too: a receiver
+that survives its debit consumes the block's whole rx energy, and one
+that dies on it logs its row, and its death row, as plain tuples.
 
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
@@ -270,9 +269,9 @@ class Engine:
         self._broadcast_cost = self._cost_at(
             interpolate_p_c(self._p_c_row, self.table.distances, tx_range), tx_range)
         # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
-        # first broadcast or first link_cost, so each undirected link is looked up once.
+        # first broadcast, so each undirected broadcast link is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
-        # Receive energy per packet size: every reception of one size debits the same float.
+        # Receive energy per packet size, computed once per size.
         self._rx_energy: dict[int, float] = {}
         # Carrier-sense airtime not yet added to node.busy: bucket -> [(cs_ids, seg), ...]
         # in charge order.  Buckets up to _settled_through are final.
@@ -413,15 +412,9 @@ class Engine:
         """Cost of the link from u to v, cached per directed pair."""
         cost = self._link_cache.get((u, v))
         if cost is None:
-            sender = self.nodes[u]
-            d = distance(sender.position, self.nodes[v].position)
-            ids = sender.neighbor_ids
-            i = bisect_left(ids, v)
-            if i < len(ids) and ids[i] == v:
-                p_c = self._neighbor_p_c(sender)[i]
-            else:
-                p_c = interpolate_p_c(self._p_c_row, self.table.distances, d)
-            cost = self._link_cache[u, v] = self._cost_at(p_c, d)
+            d = distance(self.nodes[u].position, self.nodes[v].position)
+            cost = self._link_cache[u, v] = self._cost_at(
+                interpolate_p_c(self._p_c_row, self.table.distances, d), d)
         return cost
 
     def _debit(self, node: SensorNode, amount: float) -> float:
@@ -542,21 +535,27 @@ class Engine:
                 raise TypeError(f"unknown effect {effect!r}")
 
     def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
-                    later: bool = False):
-        """Receive pkt at to_id; `later` marks a block's reception k >= 1 (module docstring)."""
+                    entry=None):
+        """Receive pkt at to_id and return the log entry the block's next reception may extend.
+
+        entry is what the block's previous reception returned, None for its
+        first (module docstring).
+        """
         node = self.nodes[to_id]
         pkt_type = type(pkt)
         if not node.alive:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
-            return
+            return entry
         amount = self._rx_energy.get(bits)
         if amount is None:
             amount = self._rx_energy[bits] = radio_rx_energy(bits, self.cfg.energy.e_elec)
         consumed = self._debit(node, amount)
         log = self.event_log
-        if not (later and log.extend_rx(now, to_id, from_id, consumed)):
-            log.append((now, to_id, "rx", _PKT_KINDS[pkt_type], bits, from_id, consumed))
+        entry = log.extend_rx(entry, to_id) if entry is not None and node.alive else None
+        if entry is None:
+            entry = (now, to_id, "rx", _PKT_KINDS[pkt_type], bits, from_id, consumed)
+            log.append(entry)
         if not node.alive:
             self.log_row(now, to_id, "death")
             if isinstance(pkt, Data):
@@ -565,15 +564,16 @@ class Engine:
         # Before the sink test: the sink hears hellos too.
         if pkt_type is Hello:
             node.protocol.on_hello(pkt, now)
-            return
+            return entry
         # The id test comes first: it is the cheaper one, and most receptions fail it.
         if to_id == self.sink_id and isinstance(pkt, Data):
             self.log_row(now, to_id, "deliver", pkt.flow_id, pkt.sequence, pkt.origin_timestamp,
                          pkt.payload_size)
-            return
+            return entry
         effects = node.protocol.on_packet(pkt, from_id, now)
         if effects:
             self._apply(node, effects, now)
+        return entry
 
     def _on_emit(self, flow_index: int, seq: int, now: float):
         flow = self.flows[flow_index]
@@ -603,7 +603,8 @@ class Engine:
         Events dispatch in (time, seq) order: a pending ready entry first,
         straight to `_on_arrival` and with the block held in locals, and
         otherwise the heap's root; the module docstring shows why this is
-        exact.  The first event past sim.duration is popped, dropped, and
+        exact.  Each reception is handed the log entry the block's previous
+        reception returned.  The first event past sim.duration is popped, dropped, and
         ends the run.
         """
         cfg = self.cfg
@@ -626,14 +627,15 @@ class Engine:
         heappop = heapq.heappop
         nodes = self.nodes
         on_arrival = self._on_arrival
-        receivers = sender_id = pkt = bits = last = None  # the block being dispatched
+        # The block being dispatched, and the log entry its last reception returned.
+        receivers = sender_id = pkt = bits = last = entry = None
         while True:
             if ready:
                 # No checks: the entry's time was just dispatched (module docstring).
                 time, k = heappop(ready)
                 if k < last:
                     ready.append((time, k + 1))
-                on_arrival(receivers[k], sender_id, pkt, bits, time, True)
+                entry = on_arrival(receivers[k], sender_id, pkt, bits, time, entry)
                 continue
             if not heap:
                 break
@@ -650,7 +652,7 @@ class Engine:
                 last = len(receivers) - 1
                 if last:
                     ready.append((time, 1))
-                on_arrival(receivers[0], sender_id, pkt, bits, time)
+                entry = on_arrival(receivers[0], sender_id, pkt, bits, time, None)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

@@ -18,10 +18,10 @@ from qgrpsim.dcf import (
     collision_probability,
     lens_area,
     lookup_p_c,
-    read_table_csv,
     reference_table,
     region_counts,
     solve_fixed_point,
+    table_to_csv_text,
     write_table_csv,
 )
 
@@ -274,24 +274,15 @@ def test_table_csv_round_trip(tmp_path):
     path = tmp_path / "table.csv"
     write_table_csv(table, path)
     text = path.read_text()
-    assert text.splitlines()[0] == "density,distance_m,p_c"
-    assert len(text.splitlines()) == 17
-    back = read_table_csv(path)
-    assert back.densities == table.densities
-    assert back.distances == table.distances
-    for i in range(4):
-        for j in range(4):
-            assert back.p_c_grid[i][j] == pytest.approx(table.p_c_grid[i][j], abs=5e-7)
-    # Lossless at the written precision: a second round trip is identical.
-    write_table_csv(back, tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_text() == text
-
-
-def test_table_csv_rejects_missing_cells(tmp_path):
-    path = tmp_path / "broken.csv"
-    path.write_text("density,distance_m,p_c\n90,100,0.1\n90,150,0.2\n100,100,0.3\n")
-    with pytest.raises(ValueError):
-        read_table_csv(path)
+    assert text == table_to_csv_text(table)
+    lines = text.splitlines()
+    assert lines[0] == "density,distance_m,p_c"
+    assert len(lines) == 17
+    cells = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert [(den, dist) for den, dist, _ in cells] == [
+        (den, dist) for den in table.densities for dist in table.distances]
+    for (_, _, p_c), want in zip(cells, (v for row in table.p_c_grid for v in row)):
+        assert p_c == pytest.approx(want, abs=5e-7)
 
 
 # ----- no clamping over the solved grid -----

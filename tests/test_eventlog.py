@@ -46,10 +46,12 @@ def logged(draw):
 
     A block is one transmission's receptions: its time is an object of its
     own, and its rows share the time, packet kind, bits, sender and joules
-    objects.  Reception k >= 1 goes through extend_rx first, as in
-    `Engine._on_arrival`.  A receiver may be dead (no row), may die (other
-    joules, then a death row), or its handler may log rows before the next
-    reception.
+    objects.  As in `Engine.run` and `Engine._on_arrival`, each reception
+    gets the entry the block's previous reception returned, None for the
+    first, and a receiver that survives offers its row to extend_rx first.
+    A receiver may be dead (no row, the entry passes on), may die (other
+    joules, a plain row, then a death row, and None passes on), or its
+    handler may log rows before the next reception.
     """
     log, rows = EventLog(), []
 
@@ -68,16 +70,20 @@ def logged(draw):
         time = fresh(draw(st.just(time) | FLOATS))
         pkt_kind, bits, sender, joules = draw(PKT_KINDS), draw(BITS), draw(SENDERS), draw(FLOATS)
         fates = st.sampled_from(["heard", "heard", "heard", "dead", "dies", "handler"])
-        for k, fate in enumerate(draw(st.lists(fates, min_size=1, max_size=6))):
+        entry = None
+        for fate in draw(st.lists(fates, min_size=1, max_size=6)):
             if fate == "dead":
                 continue
             node = draw(NODE_IDS)
             consumed = joules if fate != "dies" else fresh(draw(st.just(joules) | FLOATS))
             row = (time, node, "rx", pkt_kind, bits, sender, consumed)
-            if not (k and log.extend_rx(time, node, sender, consumed)):
+            entry = log.extend_rx(entry, node) if entry is not None and fate != "dies" else None
+            if entry is None:
+                entry = row
                 log.append(row)
             rows.append(row)
             if fate == "dies":
+                entry = None
                 plain((time, node, "death"))
             elif fate == "handler":
                 for _ in range(draw(st.integers(1, 2))):
@@ -115,22 +121,32 @@ def test_event_log_reads_as_its_rows(case):
 def test_a_block_is_one_entry_until_a_row_comes_between():
     log = EventLog()
     t, joules, other = 1.5, 1e-6, 2e-6
-    log.append((t, 4, "rx", "hello", 160, 9, joules))
-    assert log.extend_rx(t, 5, 9, joules)
-    assert log.extend_rx(t, 6, 9, joules)
-    assert [type(entry) for entry in log.entries] == [RxRun]
-    # A receiver that dies consumes other joules, and its death row comes between.
-    assert not log.extend_rx(t, 7, 9, other)
+    first = (t, 4, "rx", "hello", 160, 9, joules)
+    log.append(first)
+    run = log.extend_rx(first, 5)
+    assert type(run) is RxRun
+    assert log.extend_rx(run, 6) is run
+    assert log.entries == [run]
+    # A receiver that dies logs its row and its death row as plain tuples, and hands
+    # None on: a block's first reception gets None too, and None is never last.
     log.append((t, 7, "rx", "hello", 160, 9, other))
     log.append((t, 7, "death"))
-    assert not log.extend_rx(t, 8, 9, joules)
-    log.append((t, 8, "rx", "hello", 160, 9, joules))
-    assert log.extend_rx(t, 3, 9, joules)
-    # The same values of another block are other objects.
-    assert not log.extend_rx(float.fromhex(t.hex()), 2, 9, joules)
-    assert [type(entry) for entry in log.entries] == [RxRun, tuple, tuple, RxRun]
-    assert [row[1] for row in log] == [4, 5, 6, 7, 7, 8, 3]
-    assert not EventLog().extend_rx(t, 1, 9, joules)
+    assert log.extend_rx(None, 8) is None
+    row = (t, 8, "rx", "hello", 160, 9, joules)
+    log.append(row)
+    second = log.extend_rx(row, 3)
+    assert type(second) is RxRun
+    # An entry that is no longer last is refused, a run or a row.
+    assert log.extend_rx(run, 2) is None
+    handled = (t, 1, "rx", "hello", 160, 9, joules)
+    log.append(handled)
+    log.append((t, 1, "tx", "rreq", 480, -1, 1, 0.0, 0.0, -1, -1))
+    assert log.extend_rx(handled, 0) is None
+    assert log.extend_rx(second, 0) is None
+    assert [type(entry) for entry in log.entries] == [RxRun, tuple, tuple, RxRun, tuple, tuple]
+    assert [row[1] for row in log] == [4, 5, 6, 7, 7, 8, 3, 1, 1]
+    assert EventLog().extend_rx(None, 1) is None
+    assert EventLog().extend_rx(first, 1) is None
 
 
 def freed_bytes(drop) -> int:

@@ -212,8 +212,14 @@ def test_run_dispatches_in_time_seq_order(events):
     dispatched = []
     for node in engine.topology.nodes:
         node.protocol = StubProtocol(dispatched)
-    engine._on_arrival = lambda to_id, from_id, pkt, bits, now, later=False: dispatched.append(
-        (simulator._ARRIVAL, now, (to_id, from_id, later)))
+    tokens = []  # what each reception's stub returned, in dispatch order
+
+    def on_arrival(to_id, from_id, pkt, bits, now, entry):
+        dispatched.append((simulator._ARRIVAL, now, (to_id, from_id, entry)))
+        tokens.append(object())
+        return tokens[-1]
+
+    engine._on_arrival = on_arrival
     engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1], None))
     engine._on_flow_start = lambda *args: dispatched.append(
         (simulator._FLOW_START, args[-1], None))
@@ -248,10 +254,14 @@ def test_run_dispatches_in_time_seq_order(events):
     assert all(size <= 1 for size, _ in recorder.ready_at_pop)
     assert engine._ready == []
     expanded = []
+    received = 0  # receptions dispatched before this block
     for e in entries:
         if e[2] == simulator._ARRIVAL:
-            # Only a block's receptions k >= 1 are marked later: they may extend a log run.
-            expanded += [(e[2], e[0], (to_id, e[4], k > 0)) for k, to_id in enumerate(e[3])]
+            # A block's first reception gets None, and reception k what reception k - 1
+            # returned: never an entry another block returned.
+            expanded += [(e[2], e[0], (to_id, e[4], tokens[received + k - 1] if k else None))
+                         for k, to_id in enumerate(e[3])]
+            received += len(e[3])
         elif e[2] != simulator._TX_DONE:
             expanded.append((e[2], e[0], None))
     assert dispatched == expanded
@@ -405,12 +415,13 @@ def test_each_link_p_c_is_looked_up_once(monkeypatch):
     engine = Engine(cfg, table=table).run()
     broadcast_links = {(u, v) for u in engine._broadcast_p_c
                        for v in engine.nodes[u].neighbor_ids}
-    # Unicast and route-plane links are broadcast links too, so both paths share them.
+    # Unicast and route-plane links are broadcast links too.
     assert engine._link_cache
     assert set(engine._link_cache) <= broadcast_links
-    # One lookup per undirected link, plus the broadcast record at tx_range.
+    # One lookup per undirected broadcast link, one per link cost, and one for the
+    # broadcast record at tx_range.
     undirected = {(min(u, v), max(u, v)) for u, v in broadcast_links}
-    assert len(calls) == len(undirected) + 1
+    assert len(calls) == len(undirected) + len(engine._link_cache) + 1
     # The density is fixed per engine, so its row is snapped once.
     assert rows == [engine.density]
     # Where both ends have a tuple, the two directions hold the same p_c.
