@@ -2,9 +2,9 @@
 
 Couples the per-virtual-slot transmission attempt probability with the
 conditional collision probability through a two-equation nonlinear fixed
-point, precomputes a density x distance collision grid off-line, and
-serves runtime queries by one-dimensional inverse-distance interpolation
-between the two nearest stored configurations.
+point, solves it once per distinct contender count of a density x distance
+grid, and serves runtime queries by one-dimensional inverse-distance
+interpolation between the two nearest stored configurations.
 
 There is one collision form, the overlap form: the receiver-silenced disk
 is taken as covered by the sender's carrier-sense disk, so a sender
@@ -118,7 +118,9 @@ def region_counts(density: float, sender_receiver_distance: float, params: DcfPa
     """Expected contenders of a link, from node density in nodes per m^2.
 
     They are the nodes inside both the sender's carrier-sense disk and the
-    receiver's interference disk.
+    receiver's interference disk.  For a distance up to r_cs - r_i (300 m
+    by default) that lens is the whole interference disk, so the count
+    does not depend on the distance there.
     """
     if density < 0:
         raise ValueError(f"density must be non-negative, got {density}")
@@ -229,20 +231,29 @@ def build_table(
     distances: list[float] | tuple[float, ...],
     params: DcfParams,
 ) -> CollisionTable:
-    """Solve the fixed point for every axis combination.
+    """Solve the collision probability of every axis combination.
 
-    Density axis values are node counts per 1e6 m^2.
+    Density axis values are node counts per 1e6 m^2.  The fixed point is
+    solved once per distinct contender count, and every cell with that
+    count shares its p_c; a solver failure names the first such cell.  Up
+    to r_cs - r_i (300 m by default) the contender region is the whole
+    interference disk, so a row's cells there share one count and the row
+    is flat in distance.
     """
+    solved: dict[float, float] = {}  # p_c by contender count
     grid = []
     for density in densities:
         row = []
         for dist in distances:
             n = region_counts(density / 1e6, dist, params)
-            try:
-                row.append(solve_fixed_point(n, params).p_c)
-            except (ConvergenceError, SingularDenominatorError) as exc:
-                raise ConvergenceError(
-                    f"cell (density={density}, distance={dist}): {exc}") from exc
+            p_c = solved.get(n)
+            if p_c is None:
+                try:
+                    p_c = solved[n] = solve_fixed_point(n, params).p_c
+                except (ConvergenceError, SingularDenominatorError) as exc:
+                    raise ConvergenceError(
+                        f"cell (density={density}, distance={dist}): {exc}") from exc
+            row.append(p_c)
         grid.append(tuple(row))
     return CollisionTable(tuple(float(d) for d in densities), tuple(float(d) for d in distances), tuple(grid))
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import CollisionTable
+from qgrpsim.dcf import CollisionTable, region_counts, solve_fixed_point
+
+# CI runs the exactness oracle once more under this profile: --hypothesis-profile=ci.
+settings.register_profile("ci", max_examples=500)
 
 
 def make_config(extra: str = ""):
@@ -40,6 +44,14 @@ def eager_charge(busy, window, sender, start, duration):
         other = busy[other_id]
         for bucket, seg in segments:
             other[bucket] = other.get(bucket, 0.0) + seg
+
+
+def solve_each_cell(densities, distances, params) -> CollisionTable:
+    """Reference for build_table: one fixed-point solve per cell, nothing shared."""
+    grid = tuple(tuple(solve_fixed_point(region_counts(density / 1e6, dist, params), params).p_c
+                       for dist in distances)
+                 for density in densities)
+    return CollisionTable(tuple(map(float, densities)), tuple(map(float, distances)), grid)
 
 
 def constant_table(p_c: float) -> CollisionTable:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrpsim import dcf
 from qgrpsim.dcf import (
     REFERENCE_DENSITIES,
     REFERENCE_DISTANCES,
     REFERENCE_PC,
     CollisionTable,
+    ConvergenceError,
     DcfParams,
     SingularDenominatorError,
     attempt_probability,
@@ -24,6 +26,7 @@ from qgrpsim.dcf import (
     table_to_csv_text,
     write_table_csv,
 )
+from conftest import solve_each_cell
 
 DEFAULTS = DcfParams()
 
@@ -205,17 +208,66 @@ def test_build_table_single_cell_equals_direct_solve():
 # default geometry never reaches for d <= 300 m.
 PIN_DENSITIES = (50.0, 90.0, 100.0, 110.0, 120.0, 200.0, 400.0)
 PIN_DISTANCES = (0.0, 50.0, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0, 700.0)
+PARTIAL_LENS = DcfParams(cw_min=16, cw_max=256, carrier_sense_radius=400.0,
+                         interference_radius=300.0)
 
 
 @pytest.mark.parametrize("params,digest", [
     (DEFAULTS, "b04142ad0edd036573a25740c59b9a87621cf774f25c074ef4c80b809e3d1820"),
-    (DcfParams(cw_min=16, cw_max=256, carrier_sense_radius=400.0, interference_radius=300.0),
-     "58f682b440e978b22748269cde3d761bb522eaa39afbf848540097b373570fc2"),
+    (PARTIAL_LENS, "58f682b440e978b22748269cde3d761bb522eaa39afbf848540097b373570fc2"),
 ], ids=["defaults", "partial-lens"])
 def test_solved_table_is_pinned(params, digest):
     """sha256 of the grid's repr: every solved p_c is fixed bit for bit."""
     grid = build_table(PIN_DENSITIES, PIN_DISTANCES, params).p_c_grid
     assert hashlib.sha256(repr(grid).encode()).hexdigest() == digest
+
+
+# On the default geometry every distance up to 300 m shares its row's count; with
+# the partial lens the counts vary with distance, and every row's 700 m cell has count 0.
+@pytest.mark.parametrize("densities,distances,params,distinct", [
+    (REFERENCE_DENSITIES, REFERENCE_DISTANCES, DEFAULTS, 4),
+    (PIN_DENSITIES, PIN_DISTANCES, DEFAULTS, 21),
+    (PIN_DENSITIES, PIN_DISTANCES, PARTIAL_LENS, 43),
+], ids=["default-axes", "pin-defaults", "pin-partial-lens"])
+def test_build_table_solves_each_contender_count_once(monkeypatch, densities, distances,
+                                                      params, distinct):
+    """One solve per distinct count, and the grid of a solve per cell, bit for bit."""
+    solved = []
+
+    def counting_solve(n, params):
+        solved.append(n)
+        return solve_fixed_point(n, params)
+
+    monkeypatch.setattr(dcf, "solve_fixed_point", counting_solve)
+    table = build_table(densities, distances, params)
+    counts = {region_counts(density / 1e6, dist, params)
+              for density in densities for dist in distances}
+    assert len(solved) == len(counts) == distinct
+    assert set(solved) == counts
+    reference = solve_each_cell(densities, distances, params)
+    assert (table.densities, table.distances) == (reference.densities, reference.distances)
+    assert repr(table.p_c_grid) == repr(reference.p_c_grid)
+
+
+@pytest.mark.parametrize("params,first_cell,later_cell", [
+    (DEFAULTS, (100.0, 0.0), (100.0, 300.0)),
+    (PARTIAL_LENS, (50.0, 700.0), (400.0, 700.0)),
+], ids=["one-row", "across-rows"])
+def test_convergence_error_names_the_first_cell_with_the_count(monkeypatch, params,
+                                                               first_cell, later_cell):
+    failing_n = region_counts(first_cell[0] / 1e6, first_cell[1], params)
+    assert region_counts(later_cell[0] / 1e6, later_cell[1], params) == failing_n
+
+    def failing_solve(n, params):
+        if n == failing_n:
+            raise ConvergenceError("no fixed point")
+        return solve_fixed_point(n, params)
+
+    monkeypatch.setattr(dcf, "solve_fixed_point", failing_solve)
+    with pytest.raises(ConvergenceError) as excinfo:
+        build_table(PIN_DENSITIES, PIN_DISTANCES, params)
+    density, dist = first_cell
+    assert str(excinfo.value) == f"cell (density={density}, distance={dist}): no fixed point"
 
 
 def test_table_validation():
