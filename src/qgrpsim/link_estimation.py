@@ -1,8 +1,8 @@
 """Passive per-link available-bandwidth estimation.
 
-Combines locally observed channel idle time, the peer's reported idle
-time, and the analytical collision/backoff model into one derated
-capacity figure per neighbor.
+Combines locally observed channel idle time, the peer's idle time as of
+its last hello, and the analytical collision/backoff model into one
+derated capacity figure per neighbor.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class NeighborRecord:
     """What a node remembers about a neighbor from its last hello."""
 
     residual_energy: float
-    idle_fraction: float
+    sent_at: float
     last_heard: float
 
 
@@ -75,15 +75,18 @@ def refresh_estimates(
     now: float,
     local_idle_fraction: float,
     neighbors: dict[int, NeighborRecord],
+    idle_fraction: Callable,
     link_cost: Callable,
     b_no: float,
     expiry: float,
 ) -> dict[int, float]:
     """Available bandwidth toward each fresh neighbor, in bit/s.
 
-    Neighbors that are not fresh (see is_fresh) get no estimate.
-    link_cost(peer) gives the link's collision probability and backoff
-    overhead.
+    Neighbors that are not fresh (see is_fresh) get no estimate.  A hello
+    reports its sender's idle share through its send time:
+    idle_fraction(peer, rec.sent_at) is the peer's idle share as of its last
+    hello.  link_cost(peer) gives the link's collision probability and
+    backoff overhead.
     """
     estimates: dict[int, float] = {}
     for peer, rec in neighbors.items():
@@ -91,6 +94,6 @@ def refresh_estimates(
             continue
         cost = link_cost(peer)
         estimates[peer] = estimate_bandwidth(
-            local_idle_fraction, rec.idle_fraction, cost.p_c, b_no, cost.backoff_overhead
+            local_idle_fraction, idle_fraction(peer, rec.sent_at), cost.p_c, b_no, cost.backoff_overhead
         )
     return estimates

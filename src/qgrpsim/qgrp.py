@@ -12,8 +12,12 @@ Each route-control rule has one writer: `_extend` is the RREQ hop, and a
 source's RREQ is that relay step applied to an empty trace; `_fits` is the
 admission test, `_reply` the RREP origin and `_retry` the retry budget.
 
-Hellos carry a sender's residual energy and idle fraction only: node
-positions come from `env.positions`.  The engine hands each hello
+Hellos carry a sender's residual energy and send time only: node
+positions come from `env.positions`.  A hello reports its sender's idle
+share through `sent_at`: a neighbour reads the sender's idle share of the
+last window closed by `sent_at` through `env.idle_fraction` when it
+refreshes its estimates, and a closed window is final, so that is the
+share the sender had when it sent the hello.  The engine hands each hello
 reception straight to `on_hello`; `on_packet` dispatches every other
 packet.  The sequence-number guard is `is_fresher`, applied where an RREP
 installs a route.  A cache reply does not compare the requester's known
@@ -66,9 +70,15 @@ class RouteEntry:
 
 @dataclass(frozen=True, slots=True)
 class Hello:
+    """A neighbour beacon: the sender's residual energy and the time it was sent.
+
+    The sender's idle share is the one of its last idle window closed by
+    sent_at; receivers read it through `env.idle_fraction(sender, sent_at)`.
+    """
+
     sender: int
     residual_energy: float
-    idle_fraction: float
+    sent_at: float
 
 
 @dataclass(frozen=True)
@@ -151,7 +161,7 @@ class QgrpNode:
         return [StartTimer(offset, "hello", ())]
 
     def _emit_hello(self, now: float) -> list:
-        pkt = Hello(self.id, self.env.residual(self.id), self.env.idle_fraction(self.id, now))
+        pkt = Hello(self.id, self.env.residual(self.id), now)
         jitter = self.env.hello.jitter
         gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
         return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
@@ -160,10 +170,10 @@ class QgrpNode:
         """Record a neighbour's hello; the engine calls this for each hello reception."""
         rec = self.neighbors.get(pkt.sender)
         if rec is None:
-            self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.idle_fraction, now)
+            self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
         else:
             rec.residual_energy = pkt.residual_energy
-            rec.idle_fraction = pkt.idle_fraction
+            rec.sent_at = pkt.sent_at
             rec.last_heard = now
         return ()
 
@@ -176,6 +186,7 @@ class QgrpNode:
             now,
             self.env.idle_fraction(self.id, now),
             self.neighbors,
+            self.env.idle_fraction,
             lambda peer: self.env.link_cost(self.id, peer),
             self.env.mac.b_no,
             self.env.hello.expiry,

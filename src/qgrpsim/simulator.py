@@ -45,6 +45,20 @@ bits and sender are the reception's own.  Its joules are too: a receiver
 that survives its debit consumes the block's whole rx energy, and one
 that dies on it logs its row, and its death row, as plain tuples.
 
+Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
+`_charge_busy` appends each transmission's airtime, split at window edges,
+to its window's two lists, sender ids and segments, in charge order.  A
+node's total for a window is summed only when `idle_fraction` reads it,
+and is then memoised in `node.busy`.  Carrier sense is symmetric to the
+last bit (`_precompute_adjacency` measures each pair once), so node i is
+charged by sender s exactly when s is in i's own `cs_ids`: the total is
+that node's segments folded left to right from 0.0, the same sum, in the
+same order, as adding each segment to every sensing node at transmission
+time.  A window is final once it closes, because every charge starts at
+or after the current event time; so a read may ask for a window as of a
+past time, such as a hello's send time, and still gets the value it had
+then.
+
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
 them, is popped through this module's `heapq.heappop`, and the first field
@@ -62,6 +76,9 @@ import random
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import compress
+from operator import add
 
 from .actions import Broadcast, Data, StartTimer, Unicast
 from .aodv import AodvNode, AodvRrep, AodvRreq
@@ -273,10 +290,13 @@ class Engine:
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
         # Receive energy per packet size, computed once per size.
         self._rx_energy: dict[int, float] = {}
-        # Carrier-sense airtime not yet added to node.busy: bucket -> [(cs_ids, seg), ...]
-        # in charge order.  Buckets up to _settled_through are final.
-        self._unsettled: defaultdict[int, list] = defaultdict(list)
-        self._settled_through = -1
+        # Carrier-sense airtime by idle window: bucket -> ([sender id, ...], [segment, ...]),
+        # in charge order.  No charge may reach a bucket up to _read_through, the last read.
+        self._charges: defaultdict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+        self._read_through = -1
+        # Per node, a bytearray marking its carrier-sense set by sender id; built on the
+        # node's first settlement, so set-up does not pay for nodes that are never read.
+        self._cs_masks: list[bytearray | None] = [None] * len(self.nodes)
         self._precompute_adjacency()
         self.env = _ProtocolEnv(self)
         for node in self.nodes:
@@ -352,33 +372,38 @@ class Engine:
         heapq.heappush(self._heap, (time, seq, _ARRIVAL, receivers, sender_id, pkt, bits))
 
     def idle_fraction(self, node_id: int, now: float) -> float:
-        """Idle share of node_id's last complete idle window before now."""
+        """Idle share of node_id's last complete idle window before now.
+
+        now may be a past time, such as a hello's send time: a closed window is
+        final (module docstring).  The node's busy time in the window is settled
+        on its first read and memoised in node.busy.
+        """
         window = self.cfg.hello.idle_window
         bucket = int(now / window) - 1
-        if bucket > self._settled_through:
-            self._settle_busy(bucket)
-        busy = self.nodes[node_id].busy.get(bucket, 0.0)
+        memo = self.nodes[node_id].busy
+        busy = memo.get(bucket)
+        if busy is None:
+            if bucket > self._read_through:
+                self._read_through = bucket
+            busy = memo[bucket] = self._settle_busy(node_id, bucket)
         return max(0.0, 1.0 - busy / window)
 
-    def _settle_busy(self, last: int):
-        """Add the recorded airtime of every unsettled bucket up to `last` into node.busy.
+    def _settle_busy(self, node_id: int, bucket: int) -> float:
+        """node_id's busy time in a closed bucket: its senders' segments, in charge order.
 
-        Each node sums its segments in charge order, starting from 0.0, so its
-        totals are bit-identical to charging every node at transmission time.
+        The fold starts from 0.0, so the total is bit-identical to charging
+        every node at transmission time (module docstring).
         """
-        nodes = self.nodes
-        for bucket in range(self._settled_through + 1, last + 1):
-            charges = self._unsettled.pop(bucket, None)
-            if charges is None:
-                continue
-            acc = [0.0] * len(nodes)
-            for cs_ids, seg in charges:
-                for i in cs_ids:
-                    acc[i] += seg
-            for node, total in zip(nodes, acc):
-                if total:
-                    node.busy[bucket] = total
-        self._settled_through = last
+        charges = self._charges.get(bucket)
+        if charges is None:
+            return 0.0
+        mask = self._cs_masks[node_id]
+        if mask is None:
+            mask = self._cs_masks[node_id] = bytearray(len(self.nodes))
+            for i in self.nodes[node_id].cs_ids:
+                mask[i] = 1
+        senders, segs = charges
+        return reduce(add, compress(segs, map(mask.__getitem__, senders)), 0.0)
 
     def _cost_at(self, p_c: float, dist: float) -> LinkCost:
         energy = self.cfg.energy
@@ -435,17 +460,18 @@ class Engine:
         return consumed
 
     def _charge_busy(self, sender: SensorNode, start: float, duration: float):
-        """Record airtime, split at idle-window edges, against every node in carrier sense.
+        """Record sender's airtime, split at idle-window edges, in each window's charge lists.
 
-        The buckets are added into node.busy only when idle_fraction reads them.
+        Nothing is added to any node.busy here: idle_fraction settles one node
+        and window when it reads them.
         """
         window = self.cfg.hello.idle_window
         t = start
         remaining = duration
-        if int(t / window) <= self._settled_through:
+        if int(t / window) <= self._read_through:
             raise RuntimeError(f"airtime at {start!r} charged to an idle window already read")
-        unsettled = self._unsettled
-        cs_ids = sender.cs_ids
+        charges = self._charges
+        sender_id = sender.id
         while remaining > 0.0:
             bucket = int(t / window)
             ceiling = (bucket + 1) * window
@@ -453,7 +479,9 @@ class Engine:
                 bucket += 1
                 ceiling = (bucket + 1) * window
             seg = min(remaining, ceiling - t)
-            unsettled[bucket].append((cs_ids, seg))
+            senders, segs = charges[bucket]
+            senders.append(sender_id)
+            segs.append(seg)
             t += seg
             remaining -= seg
 

@@ -11,9 +11,9 @@
 - `_neighbor_p_c` looks up every link's p_c through `lookup_p_c`, where
   the engine snaps the density row once and reuses the reverse
   direction's;
-- `_charge_busy` adds airtime to `node.busy` at transmission time, and
-  `_settle_busy` has nothing left to do, so `idle_fraction` reads the
-  eager totals.
+- `_charge_busy` adds airtime to every sensing node's `node.busy` at
+  transmission time, so `idle_fraction` reads the eager totals, and
+  `_settle_busy` is reached only for a window that had no airtime.
 Its log renders through the one-join reference.  It overrides only order,
 caching, laziness and rendering, and calls the engine for everything else,
 so no formula has a second copy here.
@@ -56,8 +56,9 @@ class PlainEngine(Engine):
         eager_charge([node.busy for node in self.nodes], self.cfg.hello.idle_window, sender,
                      start, duration)
 
-    def _settle_busy(self, last):
-        """Nothing to settle: `_charge_busy` has added every charge to node.busy."""
+    def _settle_busy(self, node_id, bucket):
+        """A window missing from an eager node.busy had no airtime."""
+        return 0.0
 
 
 @st.composite
@@ -75,6 +76,9 @@ def scenarios(draw):
         f"[retry]\npolicy = {draw(st.sampled_from(['retry', 'reduce']))}\n"
         f"max_retries = {draw(st.integers(0, 3))}\n",
         f"[mac]\nqueue_limit = {draw(st.sampled_from([2, 8, 50]))}\n",
+        # At 0.7 some edges k * window divide back to just below k; at 0.25 many more
+        # transmissions straddle an edge.
+        f"[hello]\nidle_window_s = {draw(st.sampled_from([1.0, 0.7, 0.25]))}\n",
         "[sim]\nduration_s = 8.0\nwarm_up_s = 0.5\nrepetitions = 1\n",
     ]
     for flow_id in range(1, draw(st.integers(1, 3)) + 1):

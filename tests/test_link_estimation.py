@@ -33,6 +33,11 @@ def reference_links(positions):
     return link_cost
 
 
+def idle_at(shares):
+    """idle_fraction(peer, sent_at) read from a table of idle shares by (peer, send time)."""
+    return lambda peer, sent_at: shares[peer, sent_at]
+
+
 def test_fully_idle_link_reaches_nominal_capacity():
     assert estimate_bandwidth(1.0, 1.0, 0.0, B_NO, 0.0) == B_NO
 
@@ -103,36 +108,40 @@ def test_backoff_slots_cap_at_cw_max():
 # ----- refresh over hello records -----
 
 def test_refresh_no_neighbors():
-    got = refresh_estimates(5.0, 1.0, {}, reference_links({}), B_NO, 3.0)
+    got = refresh_estimates(5.0, 1.0, {}, idle_at({}), reference_links({}), B_NO, 3.0)
     assert got == {}
 
 
 def test_refresh_uses_grid_value_at_grid_distance():
-    neighbors = {7: NeighborRecord(40.0, 1.0, 4.9)}
+    neighbors = {7: NeighborRecord(40.0, 4.8, 4.9)}
     links = reference_links({7: Position(150.0, 0.0)})
-    got = refresh_estimates(5.0, 1.0, neighbors, links, B_NO, 3.0)
+    got = refresh_estimates(5.0, 1.0, neighbors, idle_at({(7, 4.8): 1.0}), links, B_NO, 3.0)
     assert got == {7: estimate_bandwidth(1.0, 1.0, 0.2727, B_NO, links(7).backoff_overhead)}
 
 
 def test_refresh_drops_stale_records():
     neighbors = {
-        1: NeighborRecord(40.0, 1.0, 4.5),
-        2: NeighborRecord(40.0, 1.0, 1.0),
+        1: NeighborRecord(40.0, 4.4, 4.5),
+        2: NeighborRecord(40.0, 0.9, 1.0),
     }
     positions = {1: Position(100.0, 0.0), 2: Position(120.0, 0.0)}
-    got = refresh_estimates(5.0, 1.0, neighbors, reference_links(positions), B_NO, 3.0)
+    # A stale record's idle share is never read: the table has none for it.
+    idle = idle_at({(1, 4.4): 1.0})
+    got = refresh_estimates(5.0, 1.0, neighbors, idle, reference_links(positions), B_NO, 3.0)
     assert set(got) == {1}
 
 
 def test_refresh_matches_per_link_recomputation():
     table = reference_table()
     neighbors = {
-        1: NeighborRecord(40.0, 0.9, 4.0),
-        2: NeighborRecord(30.0, 0.7, 4.5),
-        3: NeighborRecord(20.0, 1.0, 5.0),
+        1: NeighborRecord(40.0, 3.9, 4.0),
+        2: NeighborRecord(30.0, 4.4, 4.5),
+        3: NeighborRecord(20.0, 4.9, 5.0),
     }
+    shares = {(1, 3.9): 0.9, (2, 4.4): 0.7, (3, 4.9): 1.0}
     positions = {1: Position(110.0, 0.0), 2: Position(0.0, 180.0), 3: Position(160.0, 120.0)}
-    got = refresh_estimates(5.0, 0.8, neighbors, reference_links(positions), B_NO, 3.0)
+    links = reference_links(positions)
+    got = refresh_estimates(5.0, 0.8, neighbors, idle_at(shares), links, B_NO, 3.0)
     assert set(got) == {1, 2, 3}
     for peer, rec in neighbors.items():
         pos = positions[peer]
@@ -140,5 +149,5 @@ def test_refresh_matches_per_link_recomputation():
         p_c = lookup_p_c(table, 100.0, dist)
         backoff_s = mean_backoff_slots(p_c, DEFAULTS) * DEFAULTS.virtual_slot
         overhead = backoff_s / (DEFAULTS.payload_duration + backoff_s)
-        expected = B_NO * 0.8 * rec.idle_fraction * (1.0 - p_c) * (1.0 - overhead)
+        expected = B_NO * 0.8 * shares[peer, rec.sent_at] * (1.0 - p_c) * (1.0 - overhead)
         assert got[peer] == pytest.approx(expected, rel=1e-12)

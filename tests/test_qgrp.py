@@ -40,13 +40,14 @@ class StubEnv:
         self.hello, self.retry, self.pkt, self.aodv = cfg.hello, cfg.retry, cfg.pkt, cfg.aodv
         self.rng = random.Random(0)
         self.rows = []
-        self.idle = {}
+        self.idle = {}  # (node id, time) -> idle share
 
     def log(self, now, node_id, kind, *detail):
         self.rows.append((now, node_id, kind) + detail)
 
     def idle_fraction(self, node_id, now):
-        return self.idle.get(node_id, 1.0)
+        """The idle share set for node_id at exactly now, and 1.0 where none is."""
+        return self.idle.get((node_id, now), 1.0)
 
     def link_cost(self, u, v):
         """A collision-free link under the default DCF and radio parameters."""
@@ -64,7 +65,9 @@ class StubEnv:
 
 
 def hello_into(node, peer, now, idle=1.0, energy=40.0):
-    node.on_hello(Hello(peer, energy, idle), now)
+    """Deliver a hello peer sent at now, when its idle share was idle."""
+    node.env.idle[peer, now] = idle
+    node.on_hello(Hello(peer, energy, now), now)
 
 
 def expected_estimate(peer_idle, local_idle=1.0):
@@ -78,7 +81,7 @@ def pin_estimates(node, now, estimates, energies=None):
     node._estimates_at = now
     for peer in estimates:
         energy = (energies or {}).get(peer, 40.0)
-        node.neighbors[peer] = NeighborRecord(energy, 1.0, now)
+        node.neighbors[peer] = NeighborRecord(energy, now, now)
 
 
 # ----- forwarder set -----

@@ -306,12 +306,12 @@ def test_airtime_splits_at_rounded_window_edges(window):
         edge = k * window
         for start in (edge - 0.25 * window, math.nextafter(edge, 0.0), edge):
             for duration in (0.5 * window, 2.5 * window):
-                engine._unsettled.clear()
+                engine._charges.clear()
                 engine._charge_busy(sender, start, duration)
-                buckets = list(engine._unsettled)
-                charges = [engine._unsettled[b] for b in buckets]
-                assert all(len(c) == 1 for c in charges)
-                segs = [c[0][1] for c in charges]
+                buckets = list(engine._charges)
+                charges = [engine._charges[b] for b in buckets]
+                assert all(senders == [sender.id] and len(seg) == 1 for senders, seg in charges)
+                segs = [seg[0] for _, seg in charges]
                 assert all(seg > 0.0 for seg in segs)
                 assert buckets == sorted(set(buckets))
                 assert buckets[0] == (k if start == edge else k - 1)
@@ -331,8 +331,13 @@ def test_run_finishes_at_an_idle_window_with_rounded_edges():
     engine = Engine(cfg).run()
     log = engine.event_log
     assert any(row[2] == "deliver" for row in log)
-    # Settled, each node's busy time is the airtime of every transmission it senses.
-    engine.idle_fraction(0, 2.0 * cfg.sim.duration + 10.0)
+    # Read in every window, each node's busy time is the airtime of every transmission it
+    # senses.  A read at (bucket + 1.5) windows lies clear of the rounded edges.
+    window = cfg.hello.idle_window
+    buckets = range(max(engine._charges) + 1)
+    for node in engine.nodes:
+        for bucket in buckets:
+            engine.idle_fraction(node.id, (bucket + 1.5) * window)
     airtime = [0.0] * len(engine.nodes)
     for row in log:
         if row[2] == "tx":
@@ -349,23 +354,53 @@ def test_settled_busy_time_equals_eager_charging():
     nodes = engine.topology.nodes
     ref = {node.id: {} for node in nodes}
     rng = random.Random(3)
+    unread = []  # (node id, bucket) pairs of closed windows, in shuffled order
+    closed = -1  # the last bucket whose pairs are in unread or read
+
+    def read(node_id, bucket, at):
+        assert int(at / window) - 1 == bucket
+        idle = engine.idle_fraction(node_id, at)
+        busy = ref[node_id].get(bucket, 0.0)
+        assert nodes[node_id].busy[bucket] == busy
+        assert idle == max(0.0, 1.0 - busy / window)
+        if not busy:
+            assert idle == 1.0
+        return busy
+
     now = 0.0
-    straddles = 0
+    straddles = zero_reads = 0
     for k in range(600):
-        now += rng.uniform(0.0, 0.01)
+        now += rng.uniform(0.0, 0.01) + (2.0 if k == 450 else 0.0)  # a silent stretch
         sender = rng.choice(nodes)
         start = now + rng.uniform(0.0, 0.05)
         duration = 3.3 * window if k == 300 else rng.uniform(1e-4, 0.1)
         straddles += int(start / window) != int((start + duration) / window)
         engine._charge_busy(sender, start, duration)
         eager_charge(ref, window, sender, start, duration)
-        if k % 23 == 0:  # a hello-time read settles every bucket before now's
+        # Windows closed before the one now's read settles, read at a past time in the
+        # window after them, the way a hello's send time is read.
+        while closed < int(now / window) - 2:
+            closed += 1
+            unread += [(node.id, closed) for node in nodes]
+            rng.shuffle(unread)
+        for _ in range(min(len(unread), rng.randrange(4))):
+            node_id, bucket = unread.pop()
+            zero_reads += not read(node_id, bucket, (bucket + rng.uniform(1.1, 1.9)) * window)
+        if k % 23 == 0:  # a hello-time read: the last window closed by now
             node_id = rng.choice(nodes).id
-            busy = ref[node_id].get(int(now / window) - 1, 0.0)
-            assert engine.idle_fraction(node_id, now) == max(0.0, 1.0 - busy / window)
+            bucket = int(now / window) - 1
+            if bucket >= 0 and bucket not in nodes[node_id].busy:
+                read(node_id, bucket, now)
     assert straddles > 100
-    engine.idle_fraction(0, now + 10.0)
-    assert {node.id: node.busy for node in nodes} == ref
+    unread += [(node.id, bucket) for bucket in range(closed + 1, max(engine._charges) + 1)
+               for node in nodes]
+    rng.shuffle(unread)
+    for node_id, bucket in unread:
+        if bucket not in nodes[node_id].busy:
+            zero_reads += not read(node_id, bucket, (bucket + 1.5) * window)
+    assert zero_reads > 100
+    buckets = range(max(engine._charges) + 1)
+    assert all(set(nodes[i].busy) == set(buckets) >= set(ref[i]) for i in ref)
 
 
 def test_charge_to_a_settled_bucket_raises():
@@ -377,6 +412,29 @@ def test_charge_to_a_settled_bucket_raises():
     with pytest.raises(RuntimeError, match="already read"):
         engine._charge_busy(sender, 0.99, 0.005)
     engine._charge_busy(sender, 1.0, 0.01)  # bucket 4 is still open
+
+
+def test_a_hello_reports_its_senders_idle_share_as_of_its_send_time():
+    cfg = parse_config("[topology]\nn = 2\nseed = 1\nfield_width = 100.0\nfield_height = 100.0\n")
+    engine = Engine(cfg, table=constant_table(0.0))
+    sender, receiver = engine.nodes
+    assert sender.id in receiver.cs_ids
+    engine._charge_busy(sender, 0.2, 0.3)  # window 0: 0.3 s busy
+    engine._charge_busy(sender, 1.5, 0.45)  # window 1: 0.45 s busy
+    # Sent just before the edge at 2 s, so its idle share is window 0's, and heard after it.
+    hello = sender.protocol._emit_hello(1.999)[0].packet
+    receiver.protocol.on_hello(hello, 2.05)
+    engine._charge_busy(receiver, 2.1, 0.6)  # window 2, charged after the hello
+    receiver.protocol.refresh(3.1)
+    rec = receiver.protocol.neighbors[sender.id]
+    assert (rec.sent_at, rec.last_heard) == (1.999, 2.05)
+    # Read at the reception time or at the refresh, the sender's share would be another.
+    assert engine.idle_fraction(sender.id, 2.05) == pytest.approx(0.55)
+    assert engine.idle_fraction(sender.id, 3.1) == pytest.approx(0.4)
+    local, peer = 0.4, 0.7  # the receiver's window 2 and the sender's window 0
+    cost = engine.link_cost(receiver.id, sender.id)
+    expected = cfg.mac.b_no * local * peer * (1.0 - cost.p_c) * (1.0 - cost.backoff_overhead)
+    assert receiver.protocol.estimates == {sender.id: pytest.approx(expected, rel=1e-12)}
 
 
 def test_broadcast_p_c_matches_link_costs():
