@@ -93,7 +93,6 @@ def refresh_estimates(
         if not is_fresh(rec, now, expiry):
             continue
         cost = link_cost(peer)
-        estimates[peer] = estimate_bandwidth(
-            local_idle_fraction, idle_fraction(peer, rec.sent_at), cost.p_c, b_no, cost.backoff_overhead
-        )
+        estimates[peer] = estimate_bandwidth(local_idle_fraction, idle_fraction(peer, rec.sent_at),
+                                             cost.p_c, b_no, cost.backoff_overhead)
     return estimates
