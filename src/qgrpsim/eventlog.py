@@ -4,6 +4,8 @@ At n = 400 almost every log row is a hello reception, and the receptions
 of one broadcast share every field but the receiver.  An `EventLog` keeps
 such consecutive rows as one `RxRun`: the shared fields once, and the
 receiver ids in order.  It reads as the list of rows it stands for.
+`EventLog.append_rx` stores a whole run of such rows at once, in the
+form the row-by-row `append` and `extend_rx` chain would leave.
 `log_entries` gives the stored form to the two readers that fold a log
 (`metrics.compute_metrics`) or render it (`simulator.format_log`); each
 also takes a plain list of rows, such as a parsed log.
@@ -26,10 +28,11 @@ class RxRun:
 
     __slots__ = ("time", "receivers", "pkt_kind", "bits", "sender", "joules")
 
-    def __init__(self, row: tuple, node_id: int):
-        """The run of rx row `row` and the row that repeats it with node_id."""
-        self.time, first, _, self.pkt_kind, self.bits, self.sender, self.joules = row
-        self.receivers = array("I", (first, node_id))
+    def __init__(self, time, receivers, pkt_kind: str, bits: int, sender: int, joules: float):
+        """The rx rows of receivers, in order; the ids are copied."""
+        self.time, self.pkt_kind, self.bits, self.sender, self.joules = (
+            time, pkt_kind, bits, sender, joules)
+        self.receivers = array("I", receivers)
 
     def __iter__(self):
         time, pkt_kind, bits, sender, joules = (
@@ -49,7 +52,8 @@ class EventLog:
     Iterating yields every row as a tuple, in order; len is the row count,
     and equality, truth and indexing are those of the list of rows.
     `append` adds one row as it is; `extend_rx` adds an rx row by
-    extending the last entry.
+    extending the last entry; `append_rx` adds the rx rows of several
+    receivers at once.
     """
 
     __slots__ = ("entries", "append")
@@ -71,8 +75,22 @@ class EventLog:
         if type(entry) is RxRun:
             entry.receivers.append(node_id)
             return entry
-        run = log[-1] = RxRun(entry, node_id)
+        time, first, _, pkt_kind, bits, sender, joules = entry
+        run = log[-1] = RxRun(time, (first, node_id), pkt_kind, bits, sender, joules)
         return run
+
+    def append_rx(self, time, receivers, pkt_kind: str, bits: int, sender: int,
+                  joules: float):
+        """Add one rx row per receiver, in order, every other field shared.
+
+        receivers holds one id or more, and is copied.  One receiver is
+        stored as its plain row and more as one `RxRun`: the entries that
+        `append` of the first row and `extend_rx` of each later one leave.
+        """
+        if len(receivers) == 1:
+            self.append((time, receivers[0], "rx", pkt_kind, bits, sender, joules))
+        else:
+            self.append(RxRun(time, receivers, pkt_kind, bits, sender, joules))
 
     def __iter__(self):
         for entry in self.entries:

@@ -45,6 +45,19 @@ bits and sender are the reception's own.  Its joules are too: a receiver
 that survives its debit consumes the block's whole rx energy, and one
 that dies on it logs its row, and its death row, as plain tuples.
 
+A hello block is debited and logged whole before its first reception
+dispatches.  When `run` pops a block whose packet is a `Hello`,
+`_receive_hellos` walks its receivers in order: one dead before the block
+gets no row; one that survives its debit joins the current run of
+receivers, which becomes one `EventLog.append_rx`; one that dies on its
+debit ends the run and logs its rx row, then its death row.  It returns
+`_SETTLED`, which `run` hands along the block in place of a log entry,
+and `_on_arrival` is then left to call `on_hello` for each receiver still
+alive.  This is exact: no other event dispatches inside a block, and
+`on_hello` neither logs, transmits nor reads energy, so making every
+debit and row of the block before its first `on_hello` gives the same
+rows, the same floats and the same stored entries.
+
 Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
 `_charge_busy` appends each transmission's airtime, split at window edges,
 to its window's two lists, sender ids and segments, in charge order.  A
@@ -63,9 +76,11 @@ The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
 them, is popped through this module's `heapq.heappop`, and the first field
 of every popped entry is its time; no `heapq` function but `heappush` and
-`heappop` is called; `_on_arrival` runs once per `rx` row, and a
-protocol's `on_hello` once per hello `rx` row; and every name the tracer
-wraps keeps its name.
+`heappop` is called; `_on_arrival` runs once per dispatched reception,
+which is once per `rx` row while no receiver is dead, even for a hello
+block, whose rows `_receive_hellos` makes; a protocol's `on_hello` runs
+once per hello `rx` row of a receiver that survives it; and every name the
+tracer wraps keeps its name.
 """
 
 from __future__ import annotations
@@ -106,6 +121,9 @@ _PKT_KINDS = {cls: cls.__name__.lower()
               for cls in (Hello, Rreq, Rrep, AdmissionNotify, Data, AodvRreq, AodvRrep)}
 
 _NODE_CLASSES = {"qgrp": QgrpNode, "aodv": AodvNode}
+
+# Handed along a hello block whose rows `_receive_hellos` has made (module docstring).
+_SETTLED = object()
 
 
 @dataclass(slots=True)
@@ -562,14 +580,53 @@ class Engine:
             else:
                 raise TypeError(f"unknown effect {effect!r}")
 
+    def _receive_hellos(self, receivers, sender_id: int, pkt, bits: int, now: float):
+        """Debit and log every reception of a hello block, and return `_SETTLED`.
+
+        A survivor (`_debit`'s own case, amount < residual) is debited inline
+        and joins the run; a receiver that cannot pay goes through `_debit`,
+        after the run is flushed (module docstring).
+        """
+        amount = self._rx_energy.get(bits)
+        if amount is None:
+            amount = self._rx_energy[bits] = radio_rx_energy(bits, self.cfg.energy.e_elec)
+        nodes = self.nodes
+        append_rx = self.event_log.append_rx
+        kind = _PKT_KINDS[Hello]
+        run = []
+        for to_id in receivers:
+            node = nodes[to_id]
+            if not node.alive:
+                continue
+            energy = node.energy
+            residual = energy.residual
+            if amount < residual:
+                energy.residual = residual - amount
+                run.append(to_id)
+                continue
+            if run:
+                append_rx(now, run, kind, bits, sender_id, amount)
+                run = []
+            self.log_row(now, to_id, "rx", kind, bits, sender_id, self._debit(node, amount))
+            self.log_row(now, to_id, "death")
+        if run:
+            append_rx(now, run, kind, bits, sender_id, amount)
+        return _SETTLED
+
     def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
                     entry=None):
         """Receive pkt at to_id and return the log entry the block's next reception may extend.
 
         entry is what the block's previous reception returned, None for its
-        first (module docstring).
+        first, or `_SETTLED` throughout a hello block that `_receive_hellos`
+        has debited and logged: then only on_hello is left, for a receiver
+        still alive (module docstring).
         """
         node = self.nodes[to_id]
+        if entry is _SETTLED:
+            if node.alive:
+                node.protocol.on_hello(pkt, now)
+            return _SETTLED
         pkt_type = type(pkt)
         if not node.alive:
             if isinstance(pkt, Data):
@@ -632,8 +689,9 @@ class Engine:
         straight to `_on_arrival` and with the block held in locals, and
         otherwise the heap's root; the module docstring shows why this is
         exact.  Each reception is handed the log entry the block's previous
-        reception returned.  The first event past sim.duration is popped, dropped, and
-        ends the run.
+        reception returned; a hello block's first is handed what
+        `_receive_hellos` returns.  The first event past sim.duration is
+        popped, dropped, and ends the run.
         """
         cfg = self.cfg
         for node in self.nodes:
@@ -655,6 +713,7 @@ class Engine:
         heappop = heapq.heappop
         nodes = self.nodes
         on_arrival = self._on_arrival
+        receive_hellos = self._receive_hellos
         # The block being dispatched, and the log entry its last reception returned.
         receivers = sender_id = pkt = bits = last = entry = None
         while True:
@@ -680,7 +739,9 @@ class Engine:
                 last = len(receivers) - 1
                 if last:
                     ready.append((time, 1))
-                entry = on_arrival(receivers[0], sender_id, pkt, bits, time, None)
+                entry = (receive_hellos(receivers, sender_id, pkt, bits, time)
+                         if type(pkt) is Hello else None)
+                entry = on_arrival(receivers[0], sender_id, pkt, bits, time, entry)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

@@ -17,6 +17,20 @@ def make_config(extra: str = ""):
     return parse_config(extra)
 
 
+def hello_death_config():
+    """QGRP in which a receiver dies in the middle of a hello block, and later ones log rows.
+
+    A free amplifier makes a reception cost what a transmission does, so
+    receptions drain batteries too.
+    """
+    return parse_config(
+        "[topology]\nn = 8\nseed = 1\nfield_width = 200.0\nfield_height = 200.0\n"
+        "[protocol]\nname = qgrp\n"
+        "[energy]\ninitial_j = 0.02\ne_amp_j_per_bit_m2 = 0.0\n"
+        "[sim]\nduration_s = 8.0\nwarm_up_s = 0.5\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n")
+
+
 def reference_format_log(event_log) -> str:
     """What format_log must render: each row's reprs joined by commas, one row a line."""
     return "".join(",".join(map(repr, row)) + "\n" for row in event_log) or "\n"

@@ -149,6 +149,34 @@ def test_a_block_is_one_entry_until_a_row_comes_between():
     assert EventLog().extend_rx(first, 1) is None
 
 
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_append_rx_stores_what_the_row_by_row_chain_stores(size):
+    t, kind, bits, sender, joules = 1.5, "hello", 160, 70_000, 1e-6
+    receivers = [4, 255, 70_000, 2**32 - 1, 0][:size]
+    chained = EventLog()
+    entry = (t, receivers[0], "rx", kind, bits, sender, joules)
+    chained.append(entry)
+    for node in receivers[1:]:
+        entry = chained.extend_rx(entry, node)
+    log = EventLog()
+    log.append((0.0, 9, "death"))
+    log.append_rx(t, receivers, kind, bits, sender, joules)
+    receivers.append(7)
+    receivers[0] = 8
+    assert list(log)[1:] == list(chained)
+    (stored,) = log.entries[1:]
+    (expected,) = chained.entries
+    assert type(stored) is type(expected) is (tuple if size == 1 else RxRun)
+    if size == 1:
+        assert stored == expected
+        shared = stored[:1] + stored[3:]
+    else:
+        assert stored.receivers == expected.receivers
+        shared = (stored.time, stored.pkt_kind, stored.bits, stored.sender, stored.joules)
+    # The shared fields are the objects passed in, as the chain's are its first row's.
+    assert all(a is b for a, b in zip(shared, (t, kind, bits, sender, joules)))
+
+
 def freed_bytes(drop) -> int:
     """Bytes that tracemalloc sees freed when drop() lets go of what it holds."""
     gc.collect()

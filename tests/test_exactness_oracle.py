@@ -1,6 +1,6 @@
 """Exactness oracle: the engine must log what a plainer engine logs.
 
-`PlainEngine` undoes five of the engine's optimisations, one member each:
+`PlainEngine` undoes six of the engine's optimisations, one member each:
 - its default collision table solves the fixed point for every cell on
   its own, where `build_table` solves each distinct contender count once;
 - its `event_log` is a plain list, so every row is logged as a tuple and
@@ -8,6 +8,9 @@
 - `_schedule_receptions` schedules each reception as a heap entry of its
   own, with its own sequence number, so every reception goes through
   `run`'s full dispatch and the ready queue never fills;
+- `_receive_hellos` returns None, so each hello reception is debited and
+  logged in `_on_arrival`, where the engine settles a hello block's
+  debits and rows before its first reception;
 - `_neighbor_p_c` looks up every link's p_c through `lookup_p_c`, where
   the engine snaps the density row once and reuses the reverse
   direction's;
@@ -19,7 +22,7 @@ caching, laziness and rendering, and calls the engine for everything else,
 so no formula has a second copy here.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgrpsim import simulator
@@ -28,12 +31,12 @@ from qgrpsim.dcf import lookup_p_c, reference_table
 from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.simulator import Engine, format_log
-from conftest import eager_charge, reference_format_log, solve_each_cell
+from conftest import eager_charge, hello_death_config, reference_format_log, solve_each_cell
 
 
 class PlainEngine(Engine):
-    """The engine without a shared table solve, a compact log, reception blocks, p_c
-    reuse or lazy busy time."""
+    """The engine without a shared table solve, a compact log, reception blocks, hello
+    blocks settled at once, p_c reuse or lazy busy time."""
 
     def __init__(self, cfg, seed=None, table=None):
         if table is None:
@@ -45,6 +48,9 @@ class PlainEngine(Engine):
     def _schedule_receptions(self, time, receivers, sender_id, pkt, bits):
         for to_id in receivers:
             self._schedule(time, simulator._ARRIVAL, (to_id,), sender_id, pkt, bits)
+
+    def _receive_hellos(self, receivers, sender_id, pkt, bits, now):
+        return None
 
     def _neighbor_p_c(self, sender):
         nodes = self.nodes
@@ -90,8 +96,21 @@ def scenarios(draw):
     return parse_config("".join(lines)), table
 
 
+# Pinned so that every run compares a hello block's run split at a death.
+MID_BLOCK_DEATH = hello_death_config()
+
+
+def test_the_pinned_example_has_a_death_inside_a_hello_block():
+    rows = list(Engine(MID_BLOCK_DEATH).run().event_log)
+    assert any(
+        a[2:4] == ("rx", "hello") and b == (a[0], a[1], "death")
+        and c[2:4] == ("rx", "hello") and (c[0], c[5]) == (a[0], a[5])
+        for a, b, c in zip(rows, rows[1:], rows[2:]))
+
+
 @settings(deadline=None)
 @given(scenarios())
+@example((MID_BLOCK_DEATH, None))
 def test_engine_logs_what_the_plain_engine_logs(scenario):
     cfg, table = scenario
     fast = Engine(cfg, table=table).run()

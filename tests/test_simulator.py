@@ -26,7 +26,7 @@ from qgrpsim.simulator import (
     radio_rx_energy,
     run_scenario,
 )
-from conftest import constant_table, eager_charge, reference_format_log
+from conftest import constant_table, eager_charge, hello_death_config, reference_format_log
 
 
 # ----- topology -----
@@ -526,6 +526,58 @@ def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
     assert handled == []
 
 
+class HelloRecorder(StubProtocol):
+    """A stub protocol that also records the hellos it hears, by receiver."""
+
+    def __init__(self, node_id, heard):
+        super().__init__([])
+        self.node_id = node_id
+        self.heard = heard
+
+    def on_hello(self, pkt, now):
+        self.heard.append(self.node_id)
+
+
+def test_a_hello_block_is_settled_around_a_death():
+    # Receivers: one survivor, one already dead, one whose residual is the rx energy
+    # exactly (it dies), then two survivors.
+    engine = Engine(run_cfg(), table=constant_table(0.0))
+    heard = []
+    for node in engine.nodes:
+        node.protocol = HelloRecorder(node.id, heard)
+    bits = 160
+    amount = radio_rx_energy(bits, engine.cfg.energy.e_elec)
+    initial = engine.cfg.energy.initial
+    survivor, dead, exact, later, last = (engine.nodes[i] for i in (1, 2, 3, 4, 5))
+    dead.alive = False
+    dead.energy.residual = 0.0
+    exact.energy.residual = amount
+    arrivals = []
+    on_arrival = engine._on_arrival
+
+    def counting_on_arrival(*args):
+        arrivals.append(args[0])
+        return on_arrival(*args)
+
+    engine._on_arrival = counting_on_arrival
+    engine._schedule_receptions(1.0, (1, 2, 3, 4, 5), 0, Hello(0, initial, 0.9), bits)
+    engine.run()
+    entries = simulator.log_entries(engine.event_log)[len(engine.nodes):]
+    assert entries[:3] == [(1.0, 1, "rx", "hello", bits, 0, amount),
+                           (1.0, 3, "rx", "hello", bits, 0, amount),
+                           (1.0, 3, "death")]
+    assert type(entries[0]) is tuple
+    run = entries[3]
+    assert type(run) is simulator.RxRun and len(entries) == 4
+    assert list(run) == [(1.0, 4, "rx", "hello", bits, 0, amount),
+                         (1.0, 5, "rx", "hello", bits, 0, amount)]
+    assert [(n.alive, n.energy.residual) for n in (survivor, dead, exact, later, last)] == [
+        (True, initial - amount), (False, 0.0), (False, 0.0),
+        (True, initial - amount), (True, initial - amount)]
+    assert heard == [1, 4, 5]
+    assert arrivals == [1, 2, 3, 4, 5]
+
+
 def test_unicast_sender_dies_on_its_second_attempt():
     engine = always_lost_engine()
     sender, receiver = engine.topology.nodes
@@ -844,6 +896,31 @@ def test_rx_energy_is_computed_once_per_packet_size(monkeypatch, protocol, energ
         else:
             assert row[6] == radio_rx_energy(row[4], cfg.energy.e_elec)
     assert bool(dying) == receivers_die
+
+
+def test_dispatch_counts_hold_when_receivers_die(monkeypatch):
+    # The benchmark's tracer counts _on_arrival and on_hello calls; its own test has no
+    # deaths.  Here receivers die on hellos, and dead ones are still dispatched to.
+    hellos = []
+    on_hello = QgrpNode.on_hello
+    monkeypatch.setattr(QgrpNode, "on_hello",
+                        lambda self, pkt, now: hellos.append(self.id) or on_hello(self, pkt, now))
+    arrivals = []
+    on_arrival = Engine._on_arrival
+    monkeypatch.setattr(Engine, "_on_arrival",
+                        lambda self, *args: arrivals.append(args[0]) or on_arrival(self, *args))
+    cfg = hello_death_config()
+    engine = Engine(cfg)
+    recorder = RecordingHeapq(engine)
+    monkeypatch.setattr(simulator, "heapq", recorder)
+    log = list(engine.run().event_log)
+    heard = [row for row, following in zip(log, log[1:] + [()])
+             if row[2:4] == ("rx", "hello") and following != (row[0], row[1], "death")]
+    assert len(heard) < sum(row[2:4] == ("rx", "hello") for row in log)
+    assert len(hellos) == len(heard)
+    dispatched = sum((len(e) == 2 or e[2] == simulator._ARRIVAL) and e[0] <= cfg.sim.duration
+                     for e in recorder.popped)
+    assert len(arrivals) == dispatched > sum(row[2] == "rx" for row in log)
 
 
 @pytest.mark.parametrize("energy", ["initial_j = 0.05\n", RX_DEATHS],
