@@ -7,7 +7,10 @@ its default the key's default, and `params.param` adds the key name where
 it differs from the field name and the key's own check.  Key names carry
 their unit (`_s`, `_m`, `_j`, `_bps`, `_bits`); comments give the others.
 These declarations are the reference for every key, its unit, default and
-check.  Parsing, the unknown-key check and `emit_config` all go through
+check, but for the flow defaults: `Flow` declares one for `source` alone,
+and `parse_config` requires `rate_bps` and supplies `packet_bits` 2000,
+`start_s` 2.0, `stop_s` the run's duration and `required_bps` the flow's
+rate.  Parsing, the unknown-key check and `emit_config` all go through
 `KEYS`, which is read from them; rules relating two keys are the explicit
 code in `parse_config`.
 """

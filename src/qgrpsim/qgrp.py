@@ -17,11 +17,13 @@ positions come from `env.positions`.  A hello reports its sender's idle
 share through `sent_at`: a neighbour reads the sender's idle share of the
 last window closed by `sent_at` through `env.idle_fraction` when it
 refreshes its estimates, and a closed window is final, so that is the
-share the sender had when it sent the hello.  The engine hands each hello
-reception straight to `on_hello`; `on_packet` dispatches every other
-packet.  The sequence-number guard is `is_fresher`, applied where an RREP
-installs a route.  A cache reply does not compare the requester's known
-sequence number, because an RREQ carries none.
+share the sender had when it sent the hello.  The engine debits and logs
+a hello's receptions itself, then hands each one at a live receiver to
+`on_hello`, which records the neighbour and returns nothing: a hello
+never makes a node act.  `on_packet` dispatches every other packet.  The
+sequence-number guard is `is_fresher`, applied where an RREP installs a
+route.  A cache reply does not compare the requester's known sequence
+number, because an RREQ carries none.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ class QgrpNode:
         gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
         return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
 
-    def on_hello(self, pkt: Hello, now: float) -> tuple:
+    def on_hello(self, pkt: Hello, now: float):
         """Record a neighbour's hello; the engine calls this for each hello reception."""
         rec = self.neighbors.get(pkt.sender)
         if rec is None:
@@ -175,7 +177,6 @@ class QgrpNode:
             rec.residual_energy = pkt.residual_energy
             rec.sent_at = pkt.sent_at
             rec.last_heard = now
-        return ()
 
     # ----- estimates and reservations -----
 

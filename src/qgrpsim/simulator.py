@@ -33,30 +33,31 @@ passed them at that same time, and the entry can only be a reception.
 
 The event log, `Engine.event_log`, is an `EventLog` (module `eventlog`):
 a row tuple per entry, except that consecutive rx rows of one block are
-kept as one `RxRun`.  `_on_arrival` returns the log entry that holds its
-rx row, and `run` hands it to the block's next reception; a block's first
-reception gets None.  That reception logs its row, like every unicast
-reception and every other row, as a plain tuple, so a block with one
-receiver costs nothing more.  A later reception extends the entry it is
-handed, and only while that entry is still the log's last, so no row
-logged in between (a death, a handler's transmission) changes places.
-The entry then holds rows of this block alone, so its time, packet kind,
-bits and sender are the reception's own.  Its joules are too: a receiver
-that survives its debit consumes the block's whole rx energy, and one
-that dies on it logs its row, and its death row, as plain tuples.
+kept as one `RxRun`.  Outside a hello block (below), `_on_arrival`
+returns the log entry that holds its rx row, and `run` hands it to the
+block's next reception; a block's first reception gets None.  That
+reception logs its row, like every unicast reception and every other
+row, as a plain tuple, so a block with one receiver costs nothing
+more.  A later reception extends the entry it is handed, and only while
+that entry is still the log's last, so no row logged in between (a
+death, a handler's transmission) changes places.  The entry then holds
+rows of this block alone, so its time, packet kind, bits and sender are
+the reception's own.  Its joules are too: a receiver that survives its
+debit consumes the block's whole rx energy, and one that dies on it logs
+its row, and its death row, as plain tuples.
 
 A hello block is debited and logged whole before its first reception
 dispatches.  When `run` pops a block whose packet is a `Hello`,
 `_receive_hellos` walks its receivers in order: one dead before the block
 gets no row; one that survives its debit joins the current run of
 receivers, which becomes one `EventLog.append_rx`; one that dies on its
-debit ends the run and logs its rx row, then its death row.  It returns
-`_SETTLED`, which `run` hands along the block in place of a log entry,
-and `_on_arrival` is then left to call `on_hello` for each receiver still
-alive.  This is exact: no other event dispatches inside a block, and
-`on_hello` neither logs, transmits nor reads energy, so making every
-debit and row of the block before its first `on_hello` gives the same
-rows, the same floats and the same stored entries.
+debit ends the run and logs its rx row, then its death row.  It is the
+only code that debits a hello reception or logs its rows; `_on_arrival`
+just calls `on_hello` for each receiver still alive.  This is exact: no
+other event dispatches inside a block, and `on_hello` neither logs,
+transmits nor reads energy, so making every debit and row of the block
+before its first `on_hello` gives the same rows, the same floats and the
+same stored entries.
 
 Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
 `_charge_busy` appends each transmission's airtime, split at window edges,
@@ -77,10 +78,9 @@ the engine keeps to this: every event, each reception of a block among
 them, is popped through this module's `heapq.heappop`, and the first field
 of every popped entry is its time; no `heapq` function but `heappush` and
 `heappop` is called; `_on_arrival` runs once per dispatched reception,
-which is once per `rx` row while no receiver is dead, even for a hello
-block, whose rows `_receive_hellos` makes; a protocol's `on_hello` runs
-once per hello `rx` row of a receiver that survives it; and every name the
-tracer wraps keeps its name.
+which is once per `rx` row while no receiver is dead, a hello block's
+included; a protocol's `on_hello` runs once per hello `rx` row of a
+receiver that survives it; and every name the tracer wraps keeps its name.
 """
 
 from __future__ import annotations
@@ -121,9 +121,6 @@ _PKT_KINDS = {cls: cls.__name__.lower()
               for cls in (Hello, Rreq, Rrep, AdmissionNotify, Data, AodvRreq, AodvRrep)}
 
 _NODE_CLASSES = {"qgrp": QgrpNode, "aodv": AodvNode}
-
-# Handed along a hello block whose rows `_receive_hellos` has made (module docstring).
-_SETTLED = object()
 
 
 @dataclass(slots=True)
@@ -581,7 +578,7 @@ class Engine:
                 raise TypeError(f"unknown effect {effect!r}")
 
     def _receive_hellos(self, receivers, sender_id: int, pkt, bits: int, now: float):
-        """Debit and log every reception of a hello block, and return `_SETTLED`.
+        """Debit and log every reception of a hello block, the only code that does.
 
         A survivor (`_debit`'s own case, amount < residual) is debited inline
         and joins the run; a receiver that cannot pay goes through `_debit`,
@@ -611,23 +608,21 @@ class Engine:
             self.log_row(now, to_id, "death")
         if run:
             append_rx(now, run, kind, bits, sender_id, amount)
-        return _SETTLED
 
     def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
                     entry=None):
         """Receive pkt at to_id and return the log entry the block's next reception may extend.
 
-        entry is what the block's previous reception returned, None for its
-        first, or `_SETTLED` throughout a hello block that `_receive_hellos`
-        has debited and logged: then only on_hello is left, for a receiver
-        still alive (module docstring).
+        A hello was debited and logged with its block by `_receive_hellos`, so
+        it only reaches on_hello, at a receiver still alive.  For any other
+        packet, entry is what the block's previous reception returned, None
+        for its first (module docstring).
         """
         node = self.nodes[to_id]
-        if entry is _SETTLED:
+        if type(pkt) is Hello:
             if node.alive:
                 node.protocol.on_hello(pkt, now)
-            return _SETTLED
-        pkt_type = type(pkt)
+            return
         if not node.alive:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
@@ -639,17 +634,13 @@ class Engine:
         log = self.event_log
         entry = log.extend_rx(entry, to_id) if entry is not None and node.alive else None
         if entry is None:
-            entry = (now, to_id, "rx", _PKT_KINDS[pkt_type], bits, from_id, consumed)
+            entry = (now, to_id, "rx", _PKT_KINDS[type(pkt)], bits, from_id, consumed)
             log.append(entry)
         if not node.alive:
             self.log_row(now, to_id, "death")
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
             return
-        # Before the sink test: the sink hears hellos too.
-        if pkt_type is Hello:
-            node.protocol.on_hello(pkt, now)
-            return entry
         # The id test comes first: it is the cheaper one, and most receptions fail it.
         if to_id == self.sink_id and isinstance(pkt, Data):
             self.log_row(now, to_id, "deliver", pkt.flow_id, pkt.sequence, pkt.origin_timestamp,
@@ -688,10 +679,10 @@ class Engine:
         Events dispatch in (time, seq) order: a pending ready entry first,
         straight to `_on_arrival` and with the block held in locals, and
         otherwise the heap's root; the module docstring shows why this is
-        exact.  Each reception is handed the log entry the block's previous
-        reception returned; a hello block's first is handed what
-        `_receive_hellos` returns.  The first event past sim.duration is
-        popped, dropped, and ends the run.
+        exact.  A hello block goes through `_receive_hellos` when it is
+        popped.  Each reception is handed the log entry the block's previous
+        reception returned, and a block's first is handed None.  The first
+        event past sim.duration is popped, dropped, and ends the run.
         """
         cfg = self.cfg
         for node in self.nodes:
@@ -739,9 +730,9 @@ class Engine:
                 last = len(receivers) - 1
                 if last:
                     ready.append((time, 1))
-                entry = (receive_hellos(receivers, sender_id, pkt, bits, time)
-                         if type(pkt) is Hello else None)
-                entry = on_arrival(receivers[0], sender_id, pkt, bits, time, entry)
+                if type(pkt) is Hello:
+                    receive_hellos(receivers, sender_id, pkt, bits, time)
+                entry = on_arrival(receivers[0], sender_id, pkt, bits, time, None)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

@@ -31,6 +31,21 @@ def hello_death_config():
         "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n")
 
 
+def flood_death_config():
+    """AODV in which a receiver dies in the middle of an RREQ flood block, and later ones
+    log rows.
+
+    As in hello_death_config, a free amplifier lets receptions drain batteries.
+    """
+    return parse_config(
+        "[topology]\nn = 30\nseed = 8\nfield_width = 400.0\nfield_height = 400.0\n"
+        "[protocol]\nname = aodv\n"
+        "[energy]\ninitial_j = 0.01\ne_amp_j_per_bit_m2 = 0.0\n"
+        "[sim]\nduration_s = 8.0\nwarm_up_s = 0.5\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"
+        "[flow:2]\nrate_bps = 100000.0\nstart_s = 1.5\n")
+
+
 def reference_format_log(event_log) -> str:
     """What format_log must render: each row's reprs joined by commas, one row a line."""
     return "".join(",".join(map(repr, row)) + "\n" for row in event_log) or "\n"

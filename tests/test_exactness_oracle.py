@@ -8,9 +8,9 @@
 - `_schedule_receptions` schedules each reception as a heap entry of its
   own, with its own sequence number, so every reception goes through
   `run`'s full dispatch and the ready queue never fills;
-- `_receive_hellos` returns None, so each hello reception is debited and
-  logged in `_on_arrival`, where the engine settles a hello block's
-  debits and rows before its first reception;
+- `_receive_hellos` debits and logs each hello reception on its own,
+  through `_debit` and `log_row`, where the engine debits survivors
+  inline and stores a block's surviving receivers as one run;
 - `_neighbor_p_c` looks up every link's p_c through `lookup_p_c`, where
   the engine snaps the density row once and reuses the reverse
   direction's;
@@ -31,7 +31,8 @@ from qgrpsim.dcf import lookup_p_c, reference_table
 from qgrpsim.geometry import distance
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.simulator import Engine, format_log
-from conftest import eager_charge, hello_death_config, reference_format_log, solve_each_cell
+from conftest import (eager_charge, flood_death_config, hello_death_config, reference_format_log,
+                      solve_each_cell)
 
 
 class PlainEngine(Engine):
@@ -50,7 +51,14 @@ class PlainEngine(Engine):
             self._schedule(time, simulator._ARRIVAL, (to_id,), sender_id, pkt, bits)
 
     def _receive_hellos(self, receivers, sender_id, pkt, bits, now):
-        return None
+        amount = simulator.radio_rx_energy(bits, self.cfg.energy.e_elec)
+        kind = simulator._PKT_KINDS[type(pkt)]
+        for to_id in receivers:
+            node = self.nodes[to_id]
+            if node.alive:
+                self.log_row(now, to_id, "rx", kind, bits, sender_id, self._debit(node, amount))
+                if not node.alive:
+                    self.log_row(now, to_id, "death")
 
     def _neighbor_p_c(self, sender):
         nodes = self.nodes
@@ -96,21 +104,33 @@ def scenarios(draw):
     return parse_config("".join(lines)), table
 
 
-# Pinned so that every run compares a hello block's run split at a death.
+# Pinned so that every run compares a block's run split at a death: a hello block's, and
+# an AODV RREQ flood's, whose later receptions extend the run in `_on_arrival`.
 MID_BLOCK_DEATH = hello_death_config()
+MID_FLOOD_DEATH = flood_death_config()
+
+
+def has_death_inside_a_block(cfg, pkt_kind):
+    """Whether a receiver dies on a block of pkt_kind, and a later reception logs a row."""
+    rows = list(Engine(cfg).run().event_log)
+    return any(
+        a[2:4] == ("rx", pkt_kind) and b == (a[0], a[1], "death")
+        and c[2:4] == ("rx", pkt_kind) and (c[0], c[5]) == (a[0], a[5])
+        for a, b, c in zip(rows, rows[1:], rows[2:]))
 
 
 def test_the_pinned_example_has_a_death_inside_a_hello_block():
-    rows = list(Engine(MID_BLOCK_DEATH).run().event_log)
-    assert any(
-        a[2:4] == ("rx", "hello") and b == (a[0], a[1], "death")
-        and c[2:4] == ("rx", "hello") and (c[0], c[5]) == (a[0], a[5])
-        for a, b, c in zip(rows, rows[1:], rows[2:]))
+    assert has_death_inside_a_block(MID_BLOCK_DEATH, "hello")
+
+
+def test_the_pinned_flood_example_has_a_death_inside_an_rreq_block():
+    assert has_death_inside_a_block(MID_FLOOD_DEATH, "aodvrreq")
 
 
 @settings(deadline=None)
 @given(scenarios())
 @example((MID_BLOCK_DEATH, None))
+@example((MID_FLOOD_DEATH, None))
 def test_engine_logs_what_the_plain_engine_logs(scenario):
     cfg, table = scenario
     fast = Engine(cfg, table=table).run()

@@ -513,6 +513,10 @@ def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
     receiver.energy.residual = residual
     handled = []
     receiver.protocol.on_packet = lambda *args: handled.append(args) or []
+    receiver.protocol.on_hello = lambda *args: handled.append(args)
+    if isinstance(pkt, Hello):
+        # A hello's debit and rows are made with its block, before its first reception.
+        engine._receive_hellos((receiver.id,), 0, pkt, bits, 2.5)
     engine._on_arrival(receiver.id, 0, pkt, bits, 2.5)
     rows = [row for row in engine.event_log if row[1] == receiver.id]
     assert rows[0][2:4] == ("rx", "data" if isinstance(pkt, Data) else "hello")
@@ -536,6 +540,26 @@ class HelloRecorder(StubProtocol):
 
     def on_hello(self, pkt, now):
         self.heard.append(self.node_id)
+
+
+@pytest.mark.parametrize("alive", [True, False])
+def test_on_arrival_passes_a_hello_on_without_debiting_or_logging_it(alive):
+    engine = always_lost_engine()
+    receiver = engine.topology.nodes[1]
+    heard = []
+    receiver.protocol = HelloRecorder(receiver.id, heard)
+    receiver.alive = alive
+    if not alive:
+        receiver.energy.residual = 0.0
+    residual = receiver.energy.residual
+    calls = []
+    engine._debit = lambda *args: calls.append(("_debit", args))
+    engine.log_row = lambda *args: calls.append(("log_row", args))
+    assert engine._on_arrival(receiver.id, 0, Hello(0, 1.0, 1.0), 2160, 2.5, None) is None
+    assert calls == []
+    assert list(engine.event_log) == []
+    assert receiver.energy.residual == residual
+    assert heard == ([receiver.id] if alive else [])
 
 
 def test_a_hello_block_is_settled_around_a_death():
