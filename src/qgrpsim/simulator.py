@@ -63,15 +63,20 @@ Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
 `_charge_busy` appends each transmission's airtime, split at window edges,
 to its window's two lists, sender ids and segments, in charge order.  A
 node's total for a window is summed only when `idle_fraction` reads it,
-and is then memoised in `node.busy`.  Carrier sense is symmetric to the
-last bit (`_precompute_adjacency` measures each pair once), so node i is
-charged by sender s exactly when s is in i's own `cs_ids`: the total is
-that node's segments folded left to right from 0.0, the same sum, in the
-same order, as adding each segment to every sensing node at transmission
-time.  A window is final once it closes, because every charge starts at
-or after the current event time; so a read may ask for a window as of a
-past time, such as a hello's send time, and still gets the value it had
-then.
+and is then memoised in `node.busy`.  Node i's carrier-sense set is its
+`cs_mask`, a bytearray whose byte j is 1 when node j lies within the
+carrier-sense radius; byte i is 1 too.  The masks are symmetric to the
+last bit: `_precompute_adjacency` measures each pair once, with
+`math.dist` over the nodes' (x, y), and that is the float
+`geometry.distance` gives in either order, because both apply one norm to
+the absolute coordinate differences, and |a - b| = |b - a|.  So node i is
+charged by sender s exactly when byte s of i's own mask is set: the total
+is that node's segments folded left to right from 0.0, the same sum, in
+the same order, as adding each segment to every sensing node at
+transmission time.  A window is final once it closes, because every
+charge starts at or after the current event time; so a read may ask for a
+window as of a past time, such as a hello's send time, and still gets the
+value it had then.
 
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
@@ -92,7 +97,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import add
 
 from .actions import Broadcast, Data, StartTimer, Unicast
@@ -150,7 +155,7 @@ class SensorNode:
     next_free: float = 0.0
     busy: dict = field(default_factory=dict)
     neighbor_ids: tuple[int, ...] = ()
-    cs_ids: tuple[int, ...] = ()
+    cs_mask: bytearray = field(default_factory=bytearray)
 
 
 @dataclass(frozen=True)
@@ -309,9 +314,6 @@ class Engine:
         # in charge order.  No charge may reach a bucket up to _read_through, the last read.
         self._charges: defaultdict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
         self._read_through = -1
-        # Per node, a bytearray marking its carrier-sense set by sender id; built on the
-        # node's first settlement, so set-up does not pay for nodes that are never read.
-        self._cs_masks: list[bytearray | None] = [None] * len(self.nodes)
         self._precompute_adjacency()
         self.env = _ProtocolEnv(self)
         for node in self.nodes:
@@ -324,33 +326,30 @@ class Engine:
         nodes = self.nodes
         tx = self.topology.tx_range
         cs = self.cfg.dcf.params.carrier_sense_radius
+        dist = math.dist
         ids = [node.id for node in nodes]
-        xs = [node.position.x for node in nodes]
-        ys = [node.position.y for node in nodes]
-        hypot = math.hypot
+        points = [(node.position.x, node.position.y) for node in nodes]
         neigh = [[] for _ in nodes]
-        cs_ids = [[] for _ in nodes]
+        masks = [bytearray(len(nodes)) for _ in nodes]
         # Node ids index nodes, and rows fill in id order, so every list comes out sorted.
         # The ids are the nodes' own objects: a range would make a new int above 256 for
-        # every pair, and the tuples would keep each one alive.
-        # hypot takes distance(node.position, other.position)'s operands, and that is
-        # symmetric to the last bit, so each pair is measured once.
-        for i, x, y in zip(ids, xs, ys):
-            sensed_i = cs_ids[i]
+        # every pair, and the neighbour tuples would keep each one alive.
+        # dist is symmetric to the last bit (module docstring), so each pair is measured once.
+        for i, p in zip(ids, points):
+            mask_i = masks[i]
             neigh_i = neigh[i]
-            sensed_i.append(i)  # a node always senses itself
+            mask_i[i] = 1  # a node always senses itself
             k = i + 1
-            for j, xj, yj in zip(ids[k:], xs[k:], ys[k:]):
-                d = hypot(xj - x, yj - y)
+            for j, d in zip(ids[k:], map(dist, points[k:], repeat(p))):
                 if d <= cs:
-                    sensed_i.append(j)
-                    cs_ids[j].append(i)
+                    mask_i[j] = 1
+                    masks[j][i] = 1
                 if d <= tx:
                     neigh_i.append(j)
                     neigh[j].append(i)
-        for node, near, sensed in zip(nodes, neigh, cs_ids):
+        for node, near, mask in zip(nodes, neigh, masks):
             node.neighbor_ids = tuple(near)
-            node.cs_ids = tuple(sensed)
+            node.cs_mask = mask
 
     def _assign_sources(self, flows) -> list[Flow]:
         n = len(self.nodes)
@@ -404,7 +403,7 @@ class Engine:
         return max(0.0, 1.0 - busy / window)
 
     def _settle_busy(self, node_id: int, bucket: int) -> float:
-        """node_id's busy time in a closed bucket: its senders' segments, in charge order.
+        """node_id's busy time in a closed bucket: the segments its cs_mask senses, in order.
 
         The fold starts from 0.0, so the total is bit-identical to charging
         every node at transmission time (module docstring).
@@ -412,13 +411,9 @@ class Engine:
         charges = self._charges.get(bucket)
         if charges is None:
             return 0.0
-        mask = self._cs_masks[node_id]
-        if mask is None:
-            mask = self._cs_masks[node_id] = bytearray(len(self.nodes))
-            for i in self.nodes[node_id].cs_ids:
-                mask[i] = 1
         senders, segs = charges
-        return reduce(add, compress(segs, map(mask.__getitem__, senders)), 0.0)
+        sensed = self.nodes[node_id].cs_mask.__getitem__
+        return reduce(add, compress(segs, map(sensed, senders)), 0.0)
 
     def _cost_at(self, p_c: float, dist: float) -> LinkCost:
         energy = self.cfg.energy

@@ -8,7 +8,8 @@ from hypothesis import settings
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import CollisionTable, region_counts, solve_fixed_point
 
-# CI runs the exactness oracle once more under this profile: --hypothesis-profile=ci.
+# CI runs the exactness oracle and the exact-radius adjacency property once more under
+# this profile: --hypothesis-profile=ci.
 settings.register_profile("ci", max_examples=500)
 
 
@@ -51,10 +52,11 @@ def reference_format_log(event_log) -> str:
     return "".join(",".join(map(repr, row)) + "\n" for row in event_log) or "\n"
 
 
-def eager_charge(busy, window, sender, start, duration):
+def eager_charge(busy, nodes, window, sender, start, duration):
     """Reference: add airtime to every carrier-sense node's buckets at transmission time.
 
-    busy[i] is node i's bucket -> airtime dict.
+    busy[i] is node i's bucket -> airtime dict; a node is charged when its
+    cs_mask holds the sender.
     """
     segments = []
     t = start
@@ -69,8 +71,10 @@ def eager_charge(busy, window, sender, start, duration):
         segments.append((bucket, seg))
         t += seg
         remaining -= seg
-    for other_id in sender.cs_ids:
-        other = busy[other_id]
+    for node in nodes:
+        if not node.cs_mask[sender.id]:
+            continue
+        other = busy[node.id]
         for bucket, seg in segments:
             other[bucket] = other.get(bucket, 0.0) + seg
 

@@ -67,8 +67,8 @@ class PlainEngine(Engine):
                      for nb_id in sender.neighbor_ids)
 
     def _charge_busy(self, sender, start, duration):
-        eager_charge([node.busy for node in self.nodes], self.cfg.hello.idle_window, sender,
-                     start, duration)
+        eager_charge([node.busy for node in self.nodes], self.nodes, self.cfg.hello.idle_window,
+                     sender, start, duration)
 
     def _settle_busy(self, node_id, bucket):
         """A window missing from an eager node.busy had no airtime."""

@@ -60,19 +60,21 @@ def assert_adjacency_matches_per_node_scan(engine):
         assert node.neighbor_ids == tuple(
             i for i in sorted(dist) if i != node.id and dist[i] <= tx
         )
-        assert node.cs_ids == tuple(i for i in sorted(dist) if dist[i] <= cs)
+        assert node.cs_mask == bytearray(dist[i] <= cs for i in range(len(nodes)))
 
 
 def test_adjacency_matches_per_node_scan():
-    cfg = parse_config("[topology]\nn = 60\nseed = 4\n")
-    assert_adjacency_matches_per_node_scan(Engine(cfg, table=constant_table(0.0)))
+    # At n = 400, the light workloads' size, about half of all pairs are within carrier sense.
+    for n in (60, 400):
+        cfg = parse_config(f"[topology]\nn = {n}\nseed = 4\n")
+        assert_adjacency_matches_per_node_scan(Engine(cfg, table=constant_table(0.0)))
 
 
 # Unit offsets along the axes: from integer coordinates they land exactly on a radius.
 AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(st.integers(0, 1000), st.integers(0, 1000), st.lists(st.one_of(
     st.tuples(st.just("free"), st.floats(0.0, 1000.0), st.floats(0.0, 1000.0)),
     st.tuples(st.sampled_from(["tx", "cs"]), st.integers(0, 100), st.sampled_from(AXES)),
@@ -317,7 +319,7 @@ def test_airtime_splits_at_rounded_window_edges(window):
                 assert buckets[0] == (k if start == edge else k - 1)
                 assert math.fsum(segs) == pytest.approx(duration, rel=1e-12)
                 ref = [{} for _ in engine.nodes]
-                eager_charge(ref, window, sender, start, duration)
+                eager_charge(ref, engine.nodes, window, sender, start, duration)
                 assert ref[sender.id] == dict(zip(buckets, segs))
 
 
@@ -341,8 +343,9 @@ def test_run_finishes_at_an_idle_window_with_rounded_edges():
     airtime = [0.0] * len(engine.nodes)
     for row in log:
         if row[2] == "tx":
-            for i in engine.nodes[row[1]].cs_ids:
-                airtime[i] += row[8]
+            for node in engine.nodes:
+                if node.cs_mask[row[1]]:
+                    airtime[node.id] += row[8]
     for node in engine.nodes:
         assert math.fsum(node.busy.values()) == pytest.approx(airtime[node.id], rel=1e-9)
 
@@ -376,7 +379,7 @@ def test_settled_busy_time_equals_eager_charging():
         duration = 3.3 * window if k == 300 else rng.uniform(1e-4, 0.1)
         straddles += int(start / window) != int((start + duration) / window)
         engine._charge_busy(sender, start, duration)
-        eager_charge(ref, window, sender, start, duration)
+        eager_charge(ref, nodes, window, sender, start, duration)
         # Windows closed before the one now's read settles, read at a past time in the
         # window after them, the way a hello's send time is read.
         while closed < int(now / window) - 2:
@@ -418,7 +421,7 @@ def test_a_hello_reports_its_senders_idle_share_as_of_its_send_time():
     cfg = parse_config("[topology]\nn = 2\nseed = 1\nfield_width = 100.0\nfield_height = 100.0\n")
     engine = Engine(cfg, table=constant_table(0.0))
     sender, receiver = engine.nodes
-    assert sender.id in receiver.cs_ids
+    assert receiver.cs_mask[sender.id]
     engine._charge_busy(sender, 0.2, 0.3)  # window 0: 0.3 s busy
     engine._charge_busy(sender, 1.5, 0.45)  # window 1: 0.45 s busy
     # Sent just before the edge at 2 s, so its idle share is window 0's, and heard after it.
