@@ -10,26 +10,15 @@ in between, and a hello reception goes straight to the receiver's
 no mutable state.
 
 Pending events sit in one heap, `Engine._heap`, ordered by (time,
-sequence), plus a one-entry ready queue.  A transmission's receptions
-take one heap entry, with one block of consecutive sequence numbers
-reserved for its receivers, in neighbour order.  Popping reception k of a
-block puts `(time, k + 1)` in the ready queue, `Engine._ready`, which holds
-at most that one entry; the block's receivers, sender, packet and bits
-stay in `run`'s locals.  `Engine.run` pops the ready entry whenever there
-is one, and otherwise the heap's root, so events dispatch in the order of
-one heap holding every reception.  The ready entry is always that order's
-next event: an event pending before the block either was due before the
-block's first reception, and has been dispatched, or is due after its
-last, because its sequence number lies outside the block; and anything a
-handler schedules gets a later sequence number.  So no other block is
-dispatched while a ready entry is pending, and `run`'s locals are still
-that entry's block.
-
-A ready entry also has the time of the reception dispatched just before
-it, and no handler sets `Engine.now`.  So `run` dispatches it straight to
-`_on_arrival`, without the horizon test, the causality test, the
-`Engine.now` store or the kind dispatch: the block's first reception
-passed them at that same time, and the entry can only be a reception.
+sequence).  A transmission's receptions take one heap entry, with one
+block of consecutive sequence numbers reserved for its receivers, in
+neighbour order, and `Engine.run` dispatches the block's receptions in
+one loop at the block's time.  That is the order of one heap holding
+every reception, because no other event dispatches inside a block: an
+event still pending when the block is popped comes after its first
+reception, and its sequence number lies outside the block, so it comes
+after the last; and anything a handler schedules gets a later sequence
+number.
 
 The event log, `Engine.event_log`, is an `EventLog` (module `eventlog`):
 a row tuple per entry, except that consecutive rx rows of one block are
@@ -81,11 +70,14 @@ value it had then.
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
 them, is popped through this module's `heapq.heappop`, and the first field
-of every popped entry is its time; no `heapq` function but `heappush` and
-`heappop` is called; `_on_arrival` runs once per dispatched reception,
-which is once per `rx` row while no receiver is dead, a hello block's
-included; a protocol's `on_hello` runs once per hello `rx` row of a
-receiver that survives it; and every name the tracer wraps keeps its name.
+of every popped entry is its time.  So `run` appends a token `(time, k)`
+for reception k >= 1 of a block to `Engine._ready` and pops it at once;
+the pop is there only until the tracer counts receptions from blocks.  No
+`heapq` function but `heappush` and `heappop` is called; `_on_arrival`
+runs once per dispatched reception, which is once per `rx` row while no
+receiver is dead, a hello block's included; a protocol's `on_hello` runs
+once per hello `rx` row of a receiver that survives it; and every name the
+tracer wraps keeps its name.
 """
 
 from __future__ import annotations
@@ -296,7 +288,7 @@ class Engine:
         self.now = 0.0
         self.event_log = EventLog()
         self._heap: list = []
-        self._ready: list = []  # (time, k): reception k of the block being dispatched
+        self._ready: list = []  # the token (time, k) of reception k >= 1 of a block
         self._seq = 0
         # Filled lazily: building every link's record up front triples the set-up time.
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
@@ -671,13 +663,12 @@ class Engine:
     def run(self):
         """Log the set-up rows, start every node and flow, and dispatch events to the horizon.
 
-        Events dispatch in (time, seq) order: a pending ready entry first,
-        straight to `_on_arrival` and with the block held in locals, and
-        otherwise the heap's root; the module docstring shows why this is
-        exact.  A hello block goes through `_receive_hellos` when it is
-        popped.  Each reception is handed the log entry the block's previous
-        reception returned, and a block's first is handed None.  The first
-        event past sim.duration is popped, dropped, and ends the run.
+        Events dispatch in (time, seq) order, a block's receptions in one
+        loop (module docstring).  A hello block goes through
+        `_receive_hellos` when it is popped.  Each reception is handed the
+        log entry the block's previous reception returned, and a block's
+        first is handed None.  The first event past sim.duration is popped,
+        dropped, and ends the run.
         """
         cfg = self.cfg
         for node in self.nodes:
@@ -700,18 +691,7 @@ class Engine:
         nodes = self.nodes
         on_arrival = self._on_arrival
         receive_hellos = self._receive_hellos
-        # The block being dispatched, and the log entry its last reception returned.
-        receivers = sender_id = pkt = bits = last = entry = None
-        while True:
-            if ready:
-                # No checks: the entry's time was just dispatched (module docstring).
-                time, k = heappop(ready)
-                if k < last:
-                    ready.append((time, k + 1))
-                entry = on_arrival(receivers[k], sender_id, pkt, bits, time, entry)
-                continue
-            if not heap:
-                break
+        while heap:
             event = heappop(heap)
             time = event[0]
             if time > duration:
@@ -722,12 +702,14 @@ class Engine:
             kind = event[2]
             if kind == _ARRIVAL:
                 _, _, _, receivers, sender_id, pkt, bits = event
-                last = len(receivers) - 1
-                if last:
-                    ready.append((time, 1))
                 if type(pkt) is Hello:
                     receive_hellos(receivers, sender_id, pkt, bits, time)
-                entry = on_arrival(receivers[0], sender_id, pkt, bits, time, None)
+                entry = None
+                for k, to_id in enumerate(receivers):
+                    if k:  # the tracer's one pop per reception (module docstring)
+                        ready.append((time, k))
+                        heappop(ready)
+                    entry = on_arrival(to_id, sender_id, pkt, bits, time, entry)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

@@ -6,8 +6,8 @@
 - its `event_log` is a plain list, so every row is logged as a tuple and
   no reception extends an rx run;
 - `_schedule_receptions` schedules each reception as a heap entry of its
-  own, with its own sequence number, so every reception goes through
-  `run`'s full dispatch and the ready queue never fills;
+  own, with its own sequence number, so every block has one reception,
+  and every reception goes through `run`'s full dispatch;
 - `_receive_hellos` debits and logs each hello reception on its own,
   through `_debit` and `log_row`, where the engine debits survivors
   inline and stores a block's surviving receivers as one run;

@@ -218,6 +218,10 @@ def test_run_dispatches_in_time_seq_order(events):
 
     def on_arrival(to_id, from_id, pkt, bits, now, entry):
         dispatched.append((simulator._ARRIVAL, now, (to_id, from_id, entry)))
+        if to_id == 1 and from_id % 3 == 0:
+            # An event a handler schedules at the current time waits for the end of the
+            # block: its sequence number follows every one the block reserved.
+            engine._schedule(now, simulator._TIMER, *EVENT_PAYLOADS[simulator._TIMER])
         tokens.append(object())
         return tokens[-1]
 
@@ -242,8 +246,9 @@ def test_run_dispatches_in_time_seq_order(events):
     seqs = [e[1] + k for e in entries
             for k in range(len(e[3]) if e[2] == simulator._ARRIVAL else 1)]
     assert len(set(seqs)) == len(seqs)
-    # Heap pops follow (time, seq); a block's ready pops (time, 1) ... (time, len - 1)
-    # follow it straight away, and they are the only pops from the ready queue.
+    # Heap pops follow (time, seq), the events handlers scheduled included.  A block's
+    # token pops (time, 1) ... (time, len - 1), one before each further reception, follow
+    # it straight away, and they are the only pops from the ready queue.
     expected = []
     for e in entries:
         expected.append(e)
@@ -286,7 +291,7 @@ def test_aodv_flood_keeps_the_near_queue_short():
     assert sum(row[2] == "rx" and row[3] == "aodvrreq" for row in log) > 20 * cfg.topology.n
     assert recorder.peak < 3 * cfg.topology.n, recorder.peak
     # One heap entry per transmission that reached anyone, one reception per rx row: a
-    # block's first pops from the heap, the others from the ready queue as (time, k).
+    # block's first pops from the heap, and each other one pops its token (time, k).
     horizon = cfg.sim.duration
     blocks = [e for e in recorder.pushed if e[2] == simulator._ARRIVAL]
     assert len(blocks) <= sum(row[2] == "tx" for row in log)
