@@ -14,9 +14,15 @@ from dataclasses import dataclass
 from .dcf import DcfParams, lookup_p_c  # noqa: F401
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class NeighborRecord:
-    """What a node remembers about a neighbor from its last hello."""
+    """What a node remembers about a neighbor from its last hello.
+
+    The engine builds one record per hello block, and every receiver that
+    survives the block stores that same object, so it is frozen.  A
+    receiver that loses a later hello keeps the record of the last block
+    it heard.
+    """
 
     residual_energy: float
     sent_at: float

@@ -18,12 +18,14 @@ share through `sent_at`: a neighbour reads the sender's idle share of the
 last window closed by `sent_at` through `env.idle_fraction` when it
 refreshes its estimates, and a closed window is final, so that is the
 share the sender had when it sent the hello.  The engine debits and logs
-a hello's receptions itself, then hands each one at a live receiver to
-`on_hello`, which records the neighbour and returns nothing: a hello
-never makes a node act.  `on_packet` dispatches every other packet.  The
-sequence-number guard is `is_fresher`, applied where an RREP installs a
-route.  A cache reply does not compare the requester's known sequence
-number, because an RREQ carries none.
+a hello's receptions itself and builds one frozen `NeighborRecord` per
+hello block.  It calls `on_hello` once per hello rx row of a receiver
+that survives it, with that record, and every such receiver of the block
+stores the same object: `on_hello` is one dict store, and returns
+nothing, because a hello never makes a node act.  `on_packet` dispatches
+every other packet.  The sequence-number guard is `is_fresher`, applied
+where an RREP installs a route.  A cache reply does not compare the
+requester's known sequence number, because an RREQ carries none.
 """
 
 from __future__ import annotations
@@ -168,15 +170,15 @@ class QgrpNode:
         gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
         return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
 
-    def on_hello(self, pkt: Hello, now: float):
-        """Record a neighbour's hello; the engine calls this for each hello reception."""
-        rec = self.neighbors.get(pkt.sender)
-        if rec is None:
-            self.neighbors[pkt.sender] = NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
-        else:
-            rec.residual_energy = pkt.residual_energy
-            rec.sent_at = pkt.sent_at
-            rec.last_heard = now
+    def on_hello(self, sender: int, record: NeighborRecord) -> None:
+        """Keep record as what this node knows of sender.
+
+        The engine calls this once per hello rx row of a receiver that
+        survives it, and hands every such receiver of one hello block the
+        same frozen record.  Re-assigning a key keeps its first-heard place
+        in `neighbors`, the order `refresh` walks.
+        """
+        self.neighbors[sender] = record
 
     # ----- estimates and reservations -----
 

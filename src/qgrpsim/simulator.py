@@ -41,12 +41,17 @@ dispatches.  When `run` pops a block whose packet is a `Hello`,
 gets no row; one that survives its debit joins the current run of
 receivers, which becomes one `EventLog.append_rx`; one that dies on its
 debit ends the run and logs its rx row, then its death row.  It is the
-only code that debits a hello reception or logs its rows; `_on_arrival`
-just calls `on_hello` for each receiver still alive.  This is exact: no
-other event dispatches inside a block, and `on_hello` neither logs,
-transmits nor reads energy, so making every debit and row of the block
-before its first `on_hello` gives the same rows, the same floats and the
-same stored entries.
+only code that debits a hello reception or logs its rows.  It returns the
+block's one `NeighborRecord`, frozen because the block's receivers share
+it, and `run` hands that record to each reception in place of a log
+entry; `_on_arrival` just passes it to `on_hello` for each receiver still
+alive.  This is exact: no other event dispatches inside a block, and
+`on_hello` neither logs, transmits nor reads energy, so making every debit
+and row of the block before its first `on_hello` gives the same rows and
+the same floats.  Sharing is exact too: the record holds the same float
+objects a record built per reception would (the hello's residual energy
+and send time, the block's time), and a receiver that loses a later
+hello keeps the record of the last block it heard.
 
 Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
 `_charge_busy` appends each transmission's airtime, split at window edges,
@@ -76,8 +81,9 @@ the pop is there only until the tracer counts receptions from blocks.  No
 `heapq` function but `heappush` and `heappop` is called; `_on_arrival`
 runs once per dispatched reception, which is once per `rx` row while no
 receiver is dead, a hello block's included; a protocol's `on_hello` runs
-once per hello `rx` row of a receiver that survives it; and every name the
-tracer wraps keeps its name.
+once per hello `rx` row of a receiver that survives it, though the
+block's receivers share one record; and every name the tracer wraps keeps
+its name.
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ from .dcf import (CollisionTable, DcfParams, build_table, density_row, interpola
                   lookup_p_c)  # noqa: F401
 from .eventlog import EventLog, RxRun, log_entries
 from .geometry import Position, distance
-from .link_estimation import mean_backoff_slots
+from .link_estimation import NeighborRecord, mean_backoff_slots
 from .params import POSITIVE, check_params, param
 from .qgrp import AdmissionNotify, Hello, QgrpNode, Rrep, Rreq
 
@@ -564,12 +570,14 @@ class Engine:
             else:
                 raise TypeError(f"unknown effect {effect!r}")
 
-    def _receive_hellos(self, receivers, sender_id: int, pkt, bits: int, now: float):
+    def _receive_hellos(self, receivers, sender_id: int, pkt, bits: int,
+                        now: float) -> NeighborRecord:
         """Debit and log every reception of a hello block, the only code that does.
 
         A survivor (`_debit`'s own case, amount < residual) is debited inline
         and joins the run; a receiver that cannot pay goes through `_debit`,
-        after the run is flushed (module docstring).
+        after the run is flushed (module docstring).  Returns the record the
+        block's surviving receivers share.
         """
         amount = self._rx_energy.get(bits)
         if amount is None:
@@ -595,21 +603,23 @@ class Engine:
             self.log_row(now, to_id, "death")
         if run:
             append_rx(now, run, kind, bits, sender_id, amount)
+        return NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
 
     def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
                     entry=None):
         """Receive pkt at to_id and return the log entry the block's next reception may extend.
 
         A hello was debited and logged with its block by `_receive_hellos`, so
-        it only reaches on_hello, at a receiver still alive.  For any other
+        it only reaches on_hello, at a receiver still alive; entry is then the
+        block's shared record, returned for the next reception.  For any other
         packet, entry is what the block's previous reception returned, None
         for its first (module docstring).
         """
         node = self.nodes[to_id]
         if type(pkt) is Hello:
             if node.alive:
-                node.protocol.on_hello(pkt, now)
-            return
+                node.protocol.on_hello(from_id, entry)
+            return entry
         if not node.alive:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
@@ -665,7 +675,8 @@ class Engine:
 
         Events dispatch in (time, seq) order, a block's receptions in one
         loop (module docstring).  A hello block goes through
-        `_receive_hellos` when it is popped.  Each reception is handed the
+        `_receive_hellos` when it is popped, and each of its receptions is
+        handed the record that returns.  Any other reception is handed the
         log entry the block's previous reception returned, and a block's
         first is handed None.  The first event past sim.duration is popped,
         dropped, and ends the run.
@@ -702,9 +713,8 @@ class Engine:
             kind = event[2]
             if kind == _ARRIVAL:
                 _, _, _, receivers, sender_id, pkt, bits = event
-                if type(pkt) is Hello:
-                    receive_hellos(receivers, sender_id, pkt, bits, time)
-                entry = None
+                entry = (receive_hellos(receivers, sender_id, pkt, bits, time)
+                         if type(pkt) is Hello else None)
                 for k, to_id in enumerate(receivers):
                     if k:  # the tracer's one pop per reception (module docstring)
                         ready.append((time, k))

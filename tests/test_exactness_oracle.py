@@ -1,6 +1,7 @@
 """Exactness oracle: the engine must log what a plainer engine logs.
 
-`PlainEngine` undoes six of the engine's optimisations, one member each:
+`PlainEngine` undoes seven of the engine's optimisations, through six
+members (`_receive_hellos` undoes two):
 - its default collision table solves the fixed point for every cell on
   its own, where `build_table` solves each distinct contender count once;
 - its `event_log` is a plain list, so every row is logged as a tuple and
@@ -11,6 +12,9 @@
 - `_receive_hellos` debits and logs each hello reception on its own,
   through `_debit` and `log_row`, where the engine debits survivors
   inline and stores a block's surviving receivers as one run;
+- `_receive_hellos` also builds a fresh `NeighborRecord` for every
+  reception, since its blocks hold one receiver, where the engine's
+  block receivers share one record;
 - `_neighbor_p_c` looks up every link's p_c through `lookup_p_c`, where
   the engine snaps the density row once and reuses the reverse
   direction's;
@@ -18,8 +22,8 @@
   transmission time, so `idle_fraction` reads the eager totals, and
   `_settle_busy` is reached only for a window that had no airtime.
 Its log renders through the one-join reference.  It overrides only order,
-caching, laziness and rendering, and calls the engine for everything else,
-so no formula has a second copy here.
+caching, sharing, laziness and rendering, and calls the engine for
+everything else, so no formula has a second copy here.
 """
 
 from hypothesis import example, given, settings
@@ -29,6 +33,7 @@ from qgrpsim import simulator
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import lookup_p_c, reference_table
 from qgrpsim.geometry import distance
+from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.simulator import Engine, format_log
 from conftest import (eager_charge, flood_death_config, hello_death_config, reference_format_log,
@@ -37,7 +42,7 @@ from conftest import (eager_charge, flood_death_config, hello_death_config, refe
 
 class PlainEngine(Engine):
     """The engine without a shared table solve, a compact log, reception blocks, hello
-    blocks settled at once, p_c reuse or lazy busy time."""
+    blocks settled at once, shared neighbour records, p_c reuse or lazy busy time."""
 
     def __init__(self, cfg, seed=None, table=None):
         if table is None:
@@ -59,6 +64,7 @@ class PlainEngine(Engine):
                 self.log_row(now, to_id, "rx", kind, bits, sender_id, self._debit(node, amount))
                 if not node.alive:
                     self.log_row(now, to_id, "death")
+        return NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
 
     def _neighbor_p_c(self, sender):
         nodes = self.nodes

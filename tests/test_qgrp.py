@@ -12,7 +12,6 @@ from qgrpsim.geometry import Position, distance, is_forward_progress
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.qgrp import (
     AdmissionNotify,
-    Hello,
     MetricWeights,
     MissingEstimateError,
     QgrpNode,
@@ -67,7 +66,7 @@ class StubEnv:
 def hello_into(node, peer, now, idle=1.0, energy=40.0):
     """Deliver a hello peer sent at now, when its idle share was idle."""
     node.env.idle[peer, now] = idle
-    node.on_hello(Hello(peer, energy, now), now)
+    node.on_hello(peer, NeighborRecord(energy, now, now))
 
 
 def expected_estimate(peer_idle, local_idle=1.0):

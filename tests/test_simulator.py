@@ -2,7 +2,7 @@ import heapq
 import math
 import random
 import statistics
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +15,7 @@ from qgrpsim.aodv import AodvNode
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import DcfParams, density_row, interpolate_p_c, lookup_p_c, reference_table
 from qgrpsim.geometry import Position, distance
+from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.qgrp import Hello, QgrpNode
 from qgrpsim.simulator import (
@@ -431,10 +432,13 @@ def test_a_hello_reports_its_senders_idle_share_as_of_its_send_time():
     engine._charge_busy(sender, 1.5, 0.45)  # window 1: 0.45 s busy
     # Sent just before the edge at 2 s, so its idle share is window 0's, and heard after it.
     hello = sender.protocol._emit_hello(1.999)[0].packet
-    receiver.protocol.on_hello(hello, 2.05)
+    bits = cfg.pkt.hello
+    record = engine._receive_hellos((receiver.id,), sender.id, hello, bits, 2.05)
+    assert engine._on_arrival(receiver.id, sender.id, hello, bits, 2.05, record) is record
     engine._charge_busy(receiver, 2.1, 0.6)  # window 2, charged after the hello
     receiver.protocol.refresh(3.1)
     rec = receiver.protocol.neighbors[sender.id]
+    assert rec is record
     assert (rec.sent_at, rec.last_heard) == (1.999, 2.05)
     # Read at the reception time or at the refresh, the sender's share would be another.
     assert engine.idle_fraction(sender.id, 2.05) == pytest.approx(0.55)
@@ -522,10 +526,11 @@ def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
     handled = []
     receiver.protocol.on_packet = lambda *args: handled.append(args) or []
     receiver.protocol.on_hello = lambda *args: handled.append(args)
+    entry = None
     if isinstance(pkt, Hello):
         # A hello's debit and rows are made with its block, before its first reception.
-        engine._receive_hellos((receiver.id,), 0, pkt, bits, 2.5)
-    engine._on_arrival(receiver.id, 0, pkt, bits, 2.5)
+        entry = engine._receive_hellos((receiver.id,), 0, pkt, bits, 2.5)
+    engine._on_arrival(receiver.id, 0, pkt, bits, 2.5, entry)
     rows = [row for row in engine.event_log if row[1] == receiver.id]
     assert rows[0][2:4] == ("rx", "data" if isinstance(pkt, Data) else "hello")
     assert rows[0][6] == residual
@@ -546,7 +551,7 @@ class HelloRecorder(StubProtocol):
         self.node_id = node_id
         self.heard = heard
 
-    def on_hello(self, pkt, now):
+    def on_hello(self, sender, record):
         self.heard.append(self.node_id)
 
 
@@ -563,7 +568,8 @@ def test_on_arrival_passes_a_hello_on_without_debiting_or_logging_it(alive):
     calls = []
     engine._debit = lambda *args: calls.append(("_debit", args))
     engine.log_row = lambda *args: calls.append(("log_row", args))
-    assert engine._on_arrival(receiver.id, 0, Hello(0, 1.0, 1.0), 2160, 2.5, None) is None
+    record = NeighborRecord(1.0, 1.0, 2.5)
+    assert engine._on_arrival(receiver.id, 0, Hello(0, 1.0, 1.0), 2160, 2.5, record) is record
     assert calls == []
     assert list(engine.event_log) == []
     assert receiver.energy.residual == residual
@@ -608,6 +614,42 @@ def test_a_hello_block_is_settled_around_a_death():
         (True, initial - amount), (True, initial - amount)]
     assert heard == [1, 4, 5]
     assert arrivals == [1, 2, 3, 4, 5]
+
+
+def test_a_hello_blocks_receivers_share_one_frozen_record(monkeypatch):
+    # Block A reaches receivers 1-5: 2 is dead before it, and 3 dies on it.  Block B, from
+    # the same sender, reaches 1 and 5: 4 lost it.
+    engine = Engine(run_cfg(), table=constant_table(0.0))
+    for node in engine.nodes:
+        node.protocol.start = lambda now: []  # no hello but the two blocks below
+    heard = []
+    on_hello = QgrpNode.on_hello
+    monkeypatch.setattr(QgrpNode, "on_hello", lambda self, sender, record:
+                        heard.append((self.id, sender, record)) or on_hello(self, sender, record))
+    bits = engine.cfg.pkt.hello
+    initial = engine.cfg.energy.initial
+    dead, exact = engine.nodes[2], engine.nodes[3]
+    dead.alive = False
+    dead.energy.residual = 0.0
+    exact.energy.residual = radio_rx_energy(bits, engine.cfg.energy.e_elec)
+    engine._schedule_receptions(1.0, (1, 2, 3, 4, 5), 0, Hello(0, initial, 0.9), bits)
+    engine._schedule_receptions(2.0, (1, 5), 0, Hello(0, initial - 1.0, 1.9), bits)
+    engine.run()
+    first, second = heard[0][2], heard[3][2]
+    assert heard == [(1, 0, first), (4, 0, first), (5, 0, first),
+                     (1, 0, second), (5, 0, second)]
+    assert all(rec is first for _, _, rec in heard[:3])
+    assert all(rec is second for _, _, rec in heard[3:])
+    assert first == NeighborRecord(initial, 0.9, 1.0)
+    assert second == NeighborRecord(initial - 1.0, 1.9, 2.0)
+    neighbors = [node.protocol.neighbors for node in engine.nodes]
+    assert neighbors[1] == {0: second} and neighbors[1][0] is neighbors[5][0] is second
+    assert neighbors[4] == {0: first} and neighbors[4][0] is first
+    assert [i for i, known in enumerate(neighbors) if known] == [1, 4, 5]
+    for name in ("residual_energy", "sent_at", "last_heard"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(first, name, 0.0)
+    assert first == NeighborRecord(initial, 0.9, 1.0)
 
 
 def test_unicast_sender_dies_on_its_second_attempt():
@@ -679,9 +721,9 @@ def test_hellos_reach_on_hello_and_nothing_else(monkeypatch, protocol):
     if protocol == "qgrp":
         original_hello = QgrpNode.on_hello
 
-        def on_hello(self, pkt, now):
-            hellos.append(pkt)
-            return original_hello(self, pkt, now)
+        def on_hello(self, sender, record):
+            hellos.append(record)
+            return original_hello(self, sender, record)
 
         monkeypatch.setattr(QgrpNode, "on_hello", on_hello)
     cfg = run_cfg(f"[protocol]\nname = {protocol}\n"
@@ -935,8 +977,8 @@ def test_dispatch_counts_hold_when_receivers_die(monkeypatch):
     # deaths.  Here receivers die on hellos, and dead ones are still dispatched to.
     hellos = []
     on_hello = QgrpNode.on_hello
-    monkeypatch.setattr(QgrpNode, "on_hello",
-                        lambda self, pkt, now: hellos.append(self.id) or on_hello(self, pkt, now))
+    monkeypatch.setattr(QgrpNode, "on_hello", lambda self, sender, record:
+                        hellos.append(self.id) or on_hello(self, sender, record))
     arrivals = []
     on_arrival = Engine._on_arrival
     monkeypatch.setattr(Engine, "_on_arrival",
