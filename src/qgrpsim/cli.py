@@ -1,40 +1,50 @@
-"""Command-line interface: batch experiment runner and table generation."""
+"""Command-line interface: batch experiment runner, `verify` of its logs, table generation."""
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple, replace
 
-from .config import KEYS, ConfigError, ScenarioConfig, parse_config
+from .config import KEYS, ConfigError, ScenarioConfig, emit_config, parse_config
 from .dcf import ConvergenceError, DcfParams, build_table, write_table_csv
-from .metrics import METRIC_NAMES, aggregate
-from .simulator import _log_chunks, run_scenario
+from .metrics import METRIC_NAMES, aggregate, compute_metrics
+from .simulator import _log_chunks, parse_log, run_scenario
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+COLUMNS = ("protocol", "n", "seed", *METRIC_NAMES)  # of runs.csv
 
 
 def _fmt(value) -> str:
     return "" if value is None else repr(value)
 
 
+def _row(protocol, n, seed, values) -> str:
+    return f"{protocol},{n},{seed}," + ",".join(map(_fmt, values))
+
+
+def _log_name(protocol, n, seed) -> str:
+    return f"{protocol}_{n}_{seed}.log"
+
+
+def _run_config(cfg, protocol, n: int) -> ScenarioConfig:
+    return replace(cfg, topology=replace(cfg.topology, n=n), protocol=protocol)
+
+
 def _one_run(args):
     """Worker: one (protocol, size, repetition) cell. Returns a row or an error."""
     cfg, protocol, n, rep, log_dir = args
     seed = cfg.topology.seed + rep
-    run_cfg = dataclasses.replace(
-        cfg, topology=dataclasses.replace(cfg.topology, n=n), protocol=protocol
-    )
     try:
-        result = run_scenario(run_cfg, seed=seed)
+        result = run_scenario(_run_config(cfg, protocol, n), seed=seed)
     except Exception as exc:  # noqa: BLE001 - reported in the failure manifest
         return (protocol, n, seed, None, f"{type(exc).__name__}: {exc}")
     if log_dir is not None:
-        path = os.path.join(log_dir, f"{protocol}_{n}_{seed}.log")
+        path = os.path.join(log_dir, _log_name(protocol, n, seed))
         # Written chunk by chunk, so the whole text is never held in memory.
         with open(path, "w") as fh:
             fh.writelines(_log_chunks(result.event_log))
@@ -43,13 +53,15 @@ def _one_run(args):
 
 def run_experiment(cfg: ScenarioConfig, output_dir, protocols=None, write_logs=False,
                    jobs=1) -> int:
-    """Execute the configured grid and write per-run plus aggregate CSVs.
+    """Execute the configured grid and write its config, per-run plus aggregate CSVs.
 
     Runs are deterministic per (config, seed); output rows are sorted, so
     parallel execution cannot change any emitted byte.  Returns a process
     exit code.
     """
     os.makedirs(output_dir, exist_ok=True)
+    with open(os.path.join(output_dir, "scenario.cfg"), "w") as fh:
+        fh.write(emit_config(cfg))
     log_dir = None
     if write_logs:
         log_dir = os.path.join(output_dir, "logs")
@@ -72,19 +84,16 @@ def run_experiment(cfg: ScenarioConfig, output_dir, protocols=None, write_logs=F
     failures = [o for o in outcomes if o[4] is not None]
     results = sorted((o for o in outcomes if o[4] is None), key=lambda o: (o[0], o[1], o[2]))
 
-    header = "protocol,n,seed," + ",".join(METRIC_NAMES)
-    lines = [header]
+    lines = [",".join(COLUMNS)]
     by_cell: dict[tuple[str, int], list] = {}
     for protocol, n, seed, metrics, _ in results:
         by_cell.setdefault((protocol, n), []).append(metrics)
-        values = ",".join(_fmt(getattr(metrics, name)) for name in METRIC_NAMES)
-        lines.append(f"{protocol},{n},{seed},{values}")
+        lines.append(_row(protocol, n, seed, astuple(metrics)))
     aggregates: dict[tuple[str, int], object] = {}
     for (protocol, n) in sorted(by_cell):
         agg = aggregate(by_cell[(protocol, n)])
         aggregates[(protocol, n)] = agg
-        values = ",".join(_fmt(agg.mean[name]) for name in METRIC_NAMES)
-        lines.append(f"{protocol},{n},avg,{values}")
+        lines.append(_row(protocol, n, "avg", (agg.mean[name] for name in METRIC_NAMES)))
     with open(os.path.join(output_dir, "runs.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -108,6 +117,41 @@ def run_experiment(cfg: ScenarioConfig, output_dir, protocols=None, write_logs=F
                 fh.write(f"{protocol},{n},{seed}: {error}\n")
         return EXIT_RUN_FAILURE
     return EXIT_OK
+
+
+def verify(output_dir) -> int:
+    """Check each per-run row of output_dir's runs.csv against its log under `logs/`.
+
+    Exits 1 on a missing log, one without a final newline or a metric that differs
+    from the row, each printed on stderr; 2 if scenario.cfg or runs.csv is unreadable.
+    """
+    try:
+        cfg = _load_config(os.path.join(output_dir, "scenario.cfg"))
+        with open(os.path.join(output_dir, "runs.csv")) as fh:
+            header, *rows = (line.split(",") for line in fh.read().splitlines())
+        if tuple(header) != COLUMNS or any(len(cells) != len(COLUMNS) for cells in rows):
+            raise ValueError("runs.csv: expected the header and a cell per column")
+        runs = [(cells[0], int(cells[1]), cells[2], cells) for cells in rows if cells[2] != "avg"]
+    except (OSError, ConfigError, ValueError) as exc:
+        print(f"cannot verify {output_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    problems = []
+    for protocol, n, seed, cells in runs:
+        path = os.path.join(output_dir, "logs", _log_name(protocol, n, seed))
+        if not os.path.isfile(path):
+            problems.append(f"{path}: missing")
+            continue
+        with open(path) as fh:
+            text = fh.read()
+        if not text.endswith("\n"):
+            problems.append(f"{path}: does not end in a newline")
+        metrics = compute_metrics(parse_log(text), _run_config(cfg, protocol, n))
+        got = _row(protocol, n, seed, astuple(metrics)).split(",")
+        problems += [f"{path}: {name}: runs.csv has {old!r}, the log gives {new!r}"
+                     for name, old, new in zip(COLUMNS, cells, got) if old != new]
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return EXIT_RUN_FAILURE if problems else EXIT_OK
 
 
 def solve_dcf_command(params: DcfParams, densities, distances, output_path) -> int:
@@ -153,6 +197,9 @@ def main(argv=None) -> int:
     sub.add_parser("compare", parents=[grid],
                    help="run both protocols and emit the six figure files")
 
+    sub.add_parser("verify", help="check that each run's log gives its runs.csv row").add_argument(
+        "dir", help="output directory of run or compare with --logs")
+
     dcf_p = sub.add_parser("solve-dcf", help="precompute the collision table CSV")
     dcf_p.add_argument("-o", "--output", required=True, help="output CSV path")
     dcf_p.add_argument("-c", "--config", help="scenario config file supplying dcf parameters")
@@ -160,6 +207,8 @@ def main(argv=None) -> int:
     dcf_p.add_argument("--distance-axis", help="comma-separated distances in meters")
 
     args = parser.parse_args(argv)
+    if args.command == "verify":
+        return verify(args.dir)
     if args.command in ("run", "compare") and args.jobs < 1:
         print(f"config error: --jobs: must be >= 1, got {args.jobs}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -417,3 +417,69 @@ def test_cli_solve_dcf_rejects_bad_axis(tmp_path, capsys, axis):
     assert main(["solve-dcf", "-o", str(out), *axis]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {axis[0].split('=')[0]}: ")
     assert not out.exists()
+
+
+def logged_output(tmp_path, command="run", document=TINY):
+    """The output directory of `command` run on document with --logs."""
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(document)
+    out = tmp_path / command
+    assert main([command, "-c", str(cfg_path), "-o", str(out), "--logs"]) == 0
+    return out
+
+
+def test_verify_checks_every_log_of_a_compare_grid(tmp_path, capsys):
+    document = TINY + "[experiment]\nsizes = 12,14\n"
+    out = logged_output(tmp_path, "compare", document)
+    # The config verify reads is the one that ran.
+    assert parse_config((out / "scenario.cfg").read_text()) == parse_config(document)
+    logs = sorted(os.listdir(out / "logs"))
+    assert len(logs) == 8  # two protocols, two sizes, two repetitions
+    assert main(["verify", str(out)]) == 0
+    # Each log is read: without it, verify fails and names it.
+    for name in logs:
+        (out / "logs" / name).rename(tmp_path / name)
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        assert capsys.readouterr().err == f"{out / 'logs' / name}: missing\n"
+        (tmp_path / name).rename(out / "logs" / name)
+
+
+def test_verify_names_each_metric_a_deleted_deliver_row_changes(tmp_path, capsys):
+    out = logged_output(tmp_path)
+    log = out / "logs" / "qgrp_12_4.log"
+    lines = log.read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if ",'deliver'," in line)
+    log.write_text("".join(lines[:first] + lines[first + 1:]))
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    named = re.findall(rf"^{re.escape(str(log))}: (\w+): runs\.csv has ", err, re.M)
+    assert named == ["throughput", "pdr", "mean_delay", "energy_efficiency"]
+
+
+def test_verify_passes_on_run_output_and_fails_without_a_final_newline_or_a_log(
+        tmp_path, capsys):
+    out = logged_output(tmp_path)
+    assert sorted(os.listdir(out / "logs")) == ["qgrp_12_4.log", "qgrp_12_5.log"]
+    assert main(["verify", str(out)]) == 0
+    log = out / "logs" / "qgrp_12_5.log"
+    log.write_text(log.read_text()[:-1])
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == f"{log}: does not end in a newline\n"
+    log.unlink()
+    assert main(["verify", str(out)]) == 1
+    assert capsys.readouterr().err == f"{log}: missing\n"
+
+
+def test_verify_exits_2_when_the_directory_cannot_be_read(tmp_path, capsys):
+    assert main(["verify", str(tmp_path / "absent")]) == 2
+    out = logged_output(tmp_path)
+    runs = out / "runs.csv"
+    text = runs.read_text()
+    for broken in ("", "protocol,n,seed\n", text.replace(",avg,", ",avg,1.0,")):
+        runs.write_text(broken)
+        assert main(["verify", str(out)]) == 2
+    runs.write_text(text)
+    (out / "scenario.cfg").write_text("[topology]\nn = 1\n")
+    assert main(["verify", str(out)]) == 2
+    assert capsys.readouterr().err.count("cannot verify ") == 5

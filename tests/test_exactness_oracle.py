@@ -27,17 +27,16 @@ everything else, so no formula has a second copy here.
 """
 
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import lookup_p_c, reference_table
+from qgrpsim.dcf import lookup_p_c
 from qgrpsim.geometry import distance
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.metrics import compute_metrics
 from qgrpsim.simulator import Engine, format_log
 from conftest import (eager_charge, flood_death_config, hello_death_config, reference_format_log,
-                      solve_each_cell)
+                      scenarios, solve_each_cell)
 
 
 class PlainEngine(Engine):
@@ -79,35 +78,6 @@ class PlainEngine(Engine):
     def _settle_busy(self, node_id, bucket):
         """A window missing from an eager node.busy had no airtime."""
         return 0.0
-
-
-@st.composite
-def scenarios(draw):
-    n = draw(st.integers(5, 30))
-    side = draw(st.sampled_from([200.0, 400.0, 600.0]))
-    lines = [
-        f"[topology]\nn = {n}\nseed = {draw(st.integers(0, 10_000))}\n"
-        f"field_width = {side}\nfield_height = {side}\n",
-        f"[protocol]\nname = {draw(st.sampled_from(['qgrp', 'aodv']))}\n",
-        # A free amplifier drains batteries through receptions too, so receivers die on a
-        # broadcast's later receptions and their rows consume what was left.
-        draw(st.sampled_from(["[energy]\ninitial_j = 0.05\n",
-                              "[energy]\ninitial_j = 0.02\ne_amp_j_per_bit_m2 = 0.0\n"])),
-        f"[retry]\npolicy = {draw(st.sampled_from(['retry', 'reduce']))}\n"
-        f"max_retries = {draw(st.integers(0, 3))}\n",
-        f"[mac]\nqueue_limit = {draw(st.sampled_from([2, 8, 50]))}\n",
-        # At 0.7 some edges k * window divide back to just below k; at 0.25 many more
-        # transmissions straddle an edge.
-        f"[hello]\nidle_window_s = {draw(st.sampled_from([1.0, 0.7, 0.25]))}\n",
-        "[sim]\nduration_s = 8.0\nwarm_up_s = 0.5\nrepetitions = 1\n",
-    ]
-    for flow_id in range(1, draw(st.integers(1, 3)) + 1):
-        rate = draw(st.sampled_from([20_000.0, 100_000.0, 400_000.0]))
-        start = draw(st.sampled_from([0.5, 1.0, 1.5]))
-        lines.append(f"[flow:{flow_id}]\nrate_bps = {rate}\nstart_s = {start}\n")
-    # The reference grid's p_c rises with distance, so a link's p_c depends on which link.
-    table = draw(st.sampled_from([None, reference_table()]))
-    return parse_config("".join(lines)), table
 
 
 # Pinned so that every run compares a block's run split at a death: a hello block's, and

@@ -21,7 +21,8 @@ from qgrpsim.qgrp import (
     Rreq,
     is_fresher,
 )
-from qgrpsim.simulator import NodeEnergy, build_link_cost
+from qgrpsim.simulator import Engine, NodeEnergy, build_link_cost
+from conftest import scenarios
 
 IDLE_FACTOR = 160 / 191  # 1 - backoff overhead at p_c = 0
 B_NO = 2e6
@@ -528,6 +529,25 @@ def test_source_spends_at_most_its_retry_budget(policy, max_retries, steps):
     assert [pkt.retry_index for pkt in sent] == list(range(len(sent)))
     assert [row[4] for row in env.rows_of("rreq_link")] == list(range(len(sent)))
     assert len(env.rows_of("flow_failed")) <= 1
+
+
+@settings(deadline=None)
+@given(scenarios())
+def test_routes_are_loop_free_in_the_log(scenario):
+    """Loop freedom, the abstract's headline claim, read from the log alone.
+
+    Each of the exactness oracle's draws runs as QGRP, since an AODV run logs
+    no admit row.  No node may log a loop witness (an RREQ arriving at a node
+    already on its trace), and no admitted route's trace may hold a node twice.
+    An admit after a cache reply holds the trace up to the replier only, so the
+    cached rest of such a route is not checked here.
+    """
+    cfg, table = scenario
+    for row in Engine(replace(cfg, protocol="qgrp"), table=table).run().event_log:
+        assert row[2] != "loop_witness", row
+        if row[2] == "admit":
+            trace = row[5]
+            assert len(set(trace)) == len(trace), row
 
 
 # ----- data plane -----

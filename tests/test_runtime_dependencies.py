@@ -8,8 +8,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Imports every qgrpsim module and runs one tiny scenario with the test-only
-# packages made unimportable: `import numpy` raises ImportError in the child.
+# Imports every qgrpsim module, runs one tiny scenario with its log and verifies
+# that log, with the test-only packages made unimportable: `import numpy` raises
+# ImportError in the child.
 CHILD = """
 import importlib, pkgutil, sys
 for name in ("numpy", "hypothesis", "pytest"):
@@ -18,7 +19,8 @@ import qgrpsim
 for module in pkgutil.iter_modules(qgrpsim.__path__):
     importlib.import_module("qgrpsim." + module.name)
 from qgrpsim import cli
-sys.exit(cli.main(["run", "-c", sys.argv[1], "-o", sys.argv[2]]))
+status = cli.main(["run", "-c", sys.argv[1], "-o", sys.argv[2], "--logs"])
+sys.exit(status or cli.main(["verify", sys.argv[2]]))
 """
 
 # A 300 x 300 m field keeps the 12 nodes connected, so the run carries data.
@@ -41,3 +43,4 @@ def test_package_imports_and_runs_without_test_dependencies(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [row["seed"] for row in rows] == ["1", "avg"]  # one run, then its average
     assert float(rows[0]["pdr"]) > 0.0
+    assert os.listdir(out / "logs") == ["qgrp_12_1.log"]
