@@ -8,8 +8,9 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, replace
 
-from .config import KEYS, ConfigError, ScenarioConfig, emit_config, parse_config
-from .dcf import ConvergenceError, DcfParams, build_table, write_table_csv
+from .config import ConfigError, ScenarioConfig, emit_config, parse_config
+from .dcf import (REFERENCE_DENSITIES, REFERENCE_DISTANCES, ConvergenceError, DcfParams,
+                  build_table, write_table_csv)
 from .metrics import METRIC_NAMES, aggregate, compute_metrics
 from .simulator import _log_chunks, parse_log, run_scenario
 
@@ -154,10 +155,10 @@ def verify(output_dir) -> int:
     return EXIT_RUN_FAILURE if problems else EXIT_OK
 
 
-def solve_dcf_command(params: DcfParams, densities, distances, output_path) -> int:
-    """Build the collision table and write it as CSV."""
+def solve_dcf_command(params: DcfParams, output_path) -> int:
+    """Write the collision table that a run on params uses as CSV."""
     try:
-        table = build_table(densities, distances, params)
+        table = build_table(REFERENCE_DENSITIES, REFERENCE_DISTANCES, params)
     except ConvergenceError as exc:
         print(f"solver failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
@@ -170,13 +171,6 @@ def _load_config(path) -> ScenarioConfig:
         return parse_config("")
     with open(path) as fh:
         return parse_config(fh.read())
-
-
-def _axis(cfg, key, text, option):
-    """A table axis given as `option`, read and checked as the config's [dcf] `key`."""
-    if text is None:
-        return getattr(cfg.dcf, key)
-    return KEYS["dcf"][key].read(text, option)
 
 
 def main(argv=None) -> int:
@@ -200,11 +194,10 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="check that each run's log gives its runs.csv row").add_argument(
         "dir", help="output directory of run or compare with --logs")
 
-    dcf_p = sub.add_parser("solve-dcf", help="precompute the collision table CSV")
+    dcf_p = sub.add_parser("solve-dcf",
+                           help="write the collision table CSV that a run on the config uses")
     dcf_p.add_argument("-o", "--output", required=True, help="output CSV path")
     dcf_p.add_argument("-c", "--config", help="scenario config file supplying dcf parameters")
-    dcf_p.add_argument("--density-axis", help="comma-separated densities per 1e6 m^2")
-    dcf_p.add_argument("--distance-axis", help="comma-separated distances in meters")
 
     args = parser.parse_args(argv)
     if args.command == "verify":
@@ -227,13 +220,7 @@ def main(argv=None) -> int:
         return run_experiment(cfg, args.output, protocols=("qgrp", "aodv"),
                               write_logs=args.logs, jobs=args.jobs)
     if args.command == "solve-dcf":
-        try:
-            densities = _axis(cfg, "table_densities", args.density_axis, "--density-axis")
-            distances = _axis(cfg, "table_distances", args.distance_axis, "--distance-axis")
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        return solve_dcf_command(cfg.dcf.params, densities, distances, args.output)
+        return solve_dcf_command(cfg.dcf, args.output)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -1,7 +1,7 @@
 """Scenario configuration: sectioned key-value parsing, validation, defaults.
 
 Every key is declared once, as a dataclass field: in the section classes
-below, in `DcfParams` and `MetricWeights` (keys of [dcf] and [weights]) and
+below, in `DcfParams` (the keys of [dcf]), `MetricWeights` ([weights]) and
 in `Flow` (keys of each [flow:<id>]).  Its annotation is the key's type,
 its default the key's default, and `params.param` adds the key name where
 it differs from the field name and the key's own check.  Key names carry
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from typing import Callable, NamedTuple
 
-from .dcf import DcfParams, check_axis
+from .dcf import DcfParams
 from .params import POSITIVE, at_least, param, rule
 from .qgrp import MetricWeights
 from .simulator import Flow
@@ -40,14 +40,6 @@ class TopologyConfig:
     field_height: float = param(1000.0, check=POSITIVE)  # m
     tx_range: float = param(250.0, check=POSITIVE)  # m
     seed: int = 1
-
-
-@dataclass(frozen=True)
-class DcfConfig:
-    params: DcfParams = field(default_factory=DcfParams)
-    # Densities in nodes per km^2, distances in m.
-    table_densities: tuple[float, ...] = param((90.0, 100.0, 110.0, 120.0), check=check_axis)
-    table_distances: tuple[float, ...] = param((100.0, 150.0, 200.0, 250.0), check=check_axis)
 
 
 @dataclass(frozen=True)
@@ -121,7 +113,7 @@ class ScenarioConfig:
                                                "must be 'qgrp' or 'aodv'"), "protocol")
     weights: MetricWeights = field(default_factory=MetricWeights)
     flows: tuple[Flow, ...] = ()
-    dcf: DcfConfig = field(default_factory=DcfConfig)
+    dcf: DcfParams = field(default_factory=DcfParams)
     mac: MacConfig = field(default_factory=MacConfig)
     energy: EnergyConfig = field(default_factory=EnergyConfig)
     hello: HelloConfig = field(default_factory=HelloConfig)
@@ -150,7 +142,6 @@ _TYPES = {
     "int | None": (int, "an integer"),
     "float": (_finite, "a finite number"),
     "str": (str.strip, "a string"),
-    "tuple[float, ...]": (_items(_finite), "a comma-separated list of finite numbers"),
     "tuple[int, ...]": (_items(int), "a comma-separated list of integers"),
 }
 
@@ -264,7 +255,7 @@ def parse_config(text: str) -> ScenarioConfig:
         values[alpha] = 1.0 - values[beta]
     # These classes check rules across their own keys; report them under the key named.
     for path, cls, where in ((("weights",), MetricWeights, "weights.beta"),
-                             (("dcf", "params"), DcfParams, "dcf.cw_max")):
+                             (("dcf",), DcfParams, "dcf.cw_max")):
         try:
             values[path] = _build(cls, values, path)
         except ValueError as exc:

@@ -2,9 +2,11 @@
 
 Couples the per-virtual-slot transmission attempt probability with the
 conditional collision probability through a two-equation nonlinear fixed
-point, solves it once per distinct contender count of a density x distance
-grid, and serves runtime queries by one-dimensional inverse-distance
-interpolation between the two nearest stored configurations.
+point, solves it once per distinct contender count of the reference
+density x distance grid (`REFERENCE_DENSITIES` x `REFERENCE_DISTANCES`,
+the grid every run uses), and serves runtime queries by one-dimensional
+inverse-distance interpolation between the two nearest stored
+configurations.
 
 There is one collision form, the overlap form: the receiver-silenced disk
 is taken as covered by the sender's carrier-sense disk, so a sender
@@ -188,17 +190,6 @@ def solve_fixed_point(n: float, params: DcfParams) -> FixedPointSolution:
     return FixedPointSolution(attempt_probability(p, params), p, residual, iterations)
 
 
-def check_axis(values) -> str | None:
-    """What is wrong with a table axis, or None for a non-empty, increasing, non-negative one."""
-    if not values:
-        return "must be non-empty"
-    if min(values) < 0:
-        return "must be non-negative"
-    if any(b <= a for a, b in zip(values, values[1:])):
-        return "must be strictly increasing"
-    return None
-
-
 @dataclass(frozen=True)
 class CollisionTable:
     """Precomputed collision probabilities over density and distance axes.
@@ -213,9 +204,8 @@ class CollisionTable:
 
     def __post_init__(self):
         for name, axis in (("density", self.densities), ("distance", self.distances)):
-            problem = check_axis(axis)
-            if problem:
-                raise ValueError(f"{name} axis {problem}")
+            if not axis or axis[0] < 0 or any(b <= a for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"{name} axis must be non-empty, non-negative and increasing")
         if len(self.p_c_grid) != len(self.densities) or any(
             len(row) != len(self.distances) for row in self.p_c_grid
         ):

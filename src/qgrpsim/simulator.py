@@ -102,8 +102,8 @@ from .actions import Broadcast, Data, StartTimer, Unicast
 from .aodv import AodvNode, AodvRrep, AodvRreq
 # lookup_p_c stays importable from here, where the benchmark's tracer looks for it; the
 # engine itself reads p_c through interpolate_p_c, on the row its density snaps to.
-from .dcf import (CollisionTable, DcfParams, build_table, density_row, interpolate_p_c,
-                  lookup_p_c)  # noqa: F401
+from .dcf import (REFERENCE_DENSITIES, REFERENCE_DISTANCES, CollisionTable, DcfParams,
+                  build_table, density_row, interpolate_p_c, lookup_p_c)  # noqa: F401
 from .eventlog import EventLog, RxRun, log_entries
 from .geometry import Position, distance
 from .link_estimation import NeighborRecord, mean_backoff_slots
@@ -282,7 +282,7 @@ class Engine:
         self.sink_id = self.topology.sink_id
         self.nodes = self.topology.nodes
         self.table = table if table is not None else build_table(
-            cfg.dcf.table_densities, cfg.dcf.table_distances, cfg.dcf.params)
+            REFERENCE_DENSITIES, REFERENCE_DISTANCES, cfg.dcf)
         for density, row in zip(self.table.densities, self.table.p_c_grid):
             for dist, p_c in zip(self.table.distances, row):
                 if p_c >= 1.0:
@@ -323,7 +323,7 @@ class Engine:
     def _precompute_adjacency(self):
         nodes = self.nodes
         tx = self.topology.tx_range
-        cs = self.cfg.dcf.params.carrier_sense_radius
+        cs = self.cfg.dcf.carrier_sense_radius
         dist = math.dist
         ids = [node.id for node in nodes]
         points = [(node.position.x, node.position.y) for node in nodes]
@@ -415,7 +415,7 @@ class Engine:
 
     def _cost_at(self, p_c: float, dist: float) -> LinkCost:
         energy = self.cfg.energy
-        return build_link_cost(p_c, dist, self.cfg.dcf.params, energy.e_elec, energy.e_amp)
+        return build_link_cost(p_c, dist, self.cfg.dcf, energy.e_elec, energy.e_amp)
 
     def _neighbor_p_c(self, sender: SensorNode) -> tuple[float, ...]:
         """The p_c of each link from sender, in neighbor_ids order.

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from qgrpsim import simulator
 from qgrpsim.cli import main, run_experiment
 from qgrpsim.config import FLOW_KEYS, KEYS, ConfigError, emit_config, parse_config
+from qgrpsim.dcf import (REFERENCE_DENSITIES, REFERENCE_DISTANCES, DcfParams, build_table,
+                        table_to_csv_text)
 
 # Every declared key but the flow keys, by "section.key".
 DECLARED = {f"{key.section}.{key.name}": key for keys in KEYS.values() for key in keys.values()}
@@ -23,7 +25,7 @@ def test_empty_document_is_all_defaults():
     assert cfg.mac.b_no == 2e6
     assert cfg.energy.initial == 40.0
     assert cfg.flows == ()
-    assert cfg.dcf.table_densities == (90.0, 100.0, 110.0, 120.0)
+    assert cfg.dcf == DcfParams()
 
 
 def test_alpha_autofills_beta():
@@ -46,9 +48,11 @@ def test_weight_sum_violation_carries_key_path():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="topology.bogus"):
         parse_config("[topology]\nbogus = 1\n")
-    # [dcf] has no switch between collision forms: the model has one.
-    with pytest.raises(ConfigError, match=r"^dcf\.reduced: unknown key"):
-        parse_config("[dcf]\nreduced = false\n")
+    # [dcf] has no switch between collision forms, the model has one, and no table axes:
+    # every run solves the table on the reference grid.
+    for name in ("reduced", "table_densities", "table_distances"):
+        with pytest.raises(ConfigError, match=rf"^dcf\.{name}: unknown key"):
+            parse_config(f"[dcf]\n{name} = 1\n")
     # AODV's RREQ and RREP sizes are [pkt]'s: [aodv] has no copy of them.
     for name in ("rreq_bits", "rrep_bits"):
         with pytest.raises(ConfigError, match=rf"^aodv\.{name}: unknown key"):
@@ -103,10 +107,6 @@ BAD_VALUES = [
     ("dcf.virtual_slot_s", "[dcf]\nvirtual_slot_s = 0\n"),
     ("dcf.carrier_sense_radius_m", "[dcf]\ncarrier_sense_radius_m = 0\n"),
     ("dcf.interference_radius_m", "[dcf]\ninterference_radius_m = -1\n"),
-    ("dcf.table_densities", "[dcf]\ntable_densities = -5\n"),
-    ("dcf.table_densities", "[dcf]\ntable_densities = 120,90\n"),
-    ("dcf.table_distances", "[dcf]\ntable_distances = 100,100\n"),
-    ("dcf.table_distances", "[dcf]\ntable_distances = ,\n"),
     ("mac.b_no_bps", "[mac]\nb_no_bps = 0\n"),
     ("mac.retries", "[mac]\nretries = -1\n"),
     ("mac.queue_limit", "[mac]\nqueue_limit = 0\n"),
@@ -162,7 +162,6 @@ def test_every_checked_key_has_a_bad_value():
     "[energy]\ninitial_j = inf\n",
     "[dcf]\npayload_duration_s = nan\n",
     "[mac]\nb_no_bps = -inf\n",
-    "[dcf]\ntable_distances = 100,nan\n",
 ])
 def test_non_finite_numbers_rejected(document):
     section, key = re.match(r"\[(\w+)\]\n(\w+)", document).groups()
@@ -233,9 +232,6 @@ def valid_values(name, key):
         base = st.floats(0.0, 1.0, exclude_max=True)
     elif isinstance(default, float):
         base = st.floats(1e-12, 1e9)
-    elif default and isinstance(default[0], float):
-        base = st.lists(st.floats(0.0, 1e4), min_size=1, max_size=4, unique=True)
-        base = base.map(lambda values: tuple(sorted(values)))
     else:
         base = st.lists(st.integers(2, 500), max_size=3).map(tuple)
     return base.filter(lambda value: key.check is None or key.check(value) is None)
@@ -299,9 +295,9 @@ TINY = (
 
 
 @pytest.mark.parametrize("document,digest", [
-    ("", "70d29dd6b0873fface2ea18d8ffd18bb4c51cf31e9776fc07b465b399789fc48"),
+    ("", "a6e8e8b99b907990f8b8781e1d48a7cf99b91898d63f705f9776845ecd4f6340"),
     (TINY + "[experiment]\nsizes = 12,20\n[flow:2]\nrate_bps = 5e4\nsource = 3\n",
-     "a5059ffc22e3e3f5529ac1ed4ce6168109af4901014e81aa20b9267b0ca9e96b"),
+     "160b02584f336a806c47ca9e4f79dd06261ab6076211cd62f0a3aa28bb9bbf61"),
 ])
 def test_emitted_text_is_pinned(document, digest):
     """sha256 of emit_config's text: the emitted format is fixed byte for byte."""
@@ -399,23 +395,32 @@ def test_cli_solve_dcf_default_axes(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "density,distance_m,p_c"
     assert len(lines) == 17  # header + 4x4 grid
-
-    single = tmp_path / "one.csv"
-    assert main(["solve-dcf", "-o", str(single), "--density-axis", "100",
-                 "--distance-axis", "150"]) == 0
-    assert len(single.read_text().splitlines()) == 2
+    # The table a run uses: the reference grid, solved on the default [dcf].
+    table = build_table(REFERENCE_DENSITIES, REFERENCE_DISTANCES, DcfParams())
+    assert out.read_text() == table_to_csv_text(table)
 
     again = tmp_path / "table2.csv"
     assert main(["solve-dcf", "-o", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
 
 
-@pytest.mark.parametrize("axis", [["--density-axis", "120,90"], ["--distance-axis", "100,100"],
-                                  ["--density-axis=-5"]])
-def test_cli_solve_dcf_rejects_bad_axis(tmp_path, capsys, axis):
+def test_cli_solve_dcf_reads_the_dcf_section(tmp_path):
+    default = tmp_path / "default.csv"
+    assert main(["solve-dcf", "-o", str(default)]) == 0
+    cfg_path = tmp_path / "narrow.cfg"
+    cfg_path.write_text("[dcf]\ncw_min = 16\n")
+    out = tmp_path / "narrow.csv"
+    assert main(["solve-dcf", "-c", str(cfg_path), "-o", str(out)]) == 0
+    table = build_table(REFERENCE_DENSITIES, REFERENCE_DISTANCES, DcfParams(cw_min=16))
+    assert out.read_text() == table_to_csv_text(table) != default.read_text()
+
+
+def test_cli_solve_dcf_rejects_a_bad_dcf_section(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("[dcf]\ncw_max = 100\n")
     out = tmp_path / "table.csv"
-    assert main(["solve-dcf", "-o", str(out), *axis]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {axis[0].split('=')[0]}: ")
+    assert main(["solve-dcf", "-c", str(cfg_path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: dcf.cw_max: ")
     assert not out.exists()
 
 

@@ -30,7 +30,7 @@ from hypothesis import example, given, settings
 
 from qgrpsim import simulator
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import lookup_p_c
+from qgrpsim.dcf import REFERENCE_DENSITIES, REFERENCE_DISTANCES, lookup_p_c
 from qgrpsim.geometry import distance
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.metrics import compute_metrics
@@ -45,8 +45,7 @@ class PlainEngine(Engine):
 
     def __init__(self, cfg, seed=None, table=None):
         if table is None:
-            table = solve_each_cell(cfg.dcf.table_densities, cfg.dcf.table_distances,
-                                    cfg.dcf.params)
+            table = solve_each_cell(REFERENCE_DENSITIES, REFERENCE_DISTANCES, cfg.dcf)
         super().__init__(cfg, seed, table)
         self.event_log = []
 

@@ -35,7 +35,7 @@ class StubEnv:
         cfg = parse_config(f"[retry]\nbuffer_capacity = 4\npolicy = {policy}\n")
         self.sink_id = sink_id
         self.positions = positions
-        self._dcf_params = cfg.dcf.params
+        self._dcf_params = cfg.dcf
         self.weights, self.mac, self.energy = cfg.weights, cfg.mac, cfg.energy
         self.hello, self.retry, self.pkt, self.aodv = cfg.hello, cfg.retry, cfg.pkt, cfg.aodv
         self.rng = random.Random(0)
@@ -548,6 +548,45 @@ def test_routes_are_loop_free_in_the_log(scenario):
         if row[2] == "admit":
             trace = row[5]
             assert len(set(trace)) == len(trace), row
+
+
+@settings(deadline=None)
+@given(scenarios())
+def test_reservations_fit_the_estimate_in_the_log(scenario):
+    """Admission soundness, read from the log alone: at every reservation, the bandwidth
+    reserved toward the peer (field 7) is within the peer link's estimate (field 6)."""
+    cfg, table = scenario
+    for row in Engine(replace(cfg, protocol="qgrp"), table=table).run().event_log:
+        if row[2] == "reserve":
+            assert row[7] <= row[6], row
+
+
+@settings(deadline=None)
+@given(scenarios())
+def test_the_log_is_causal(scenario):
+    """Causality, read from the log alone, on the draw's own protocol.
+
+    Every deliver follows its packet's origin row.  After a node's death row,
+    the node logs only drops: of data that reaches it (dead_receiver), or of
+    data it was sending when it died on its own attempts (mac_loss at the
+    time of its death).
+    """
+    cfg, table = scenario
+    originated = set()
+    died_at = {}
+    for row in Engine(cfg, table=table).run().event_log:
+        time, node, kind = row[:3]
+        if node in died_at:
+            assert kind == "drop", row
+            reason = row[5]
+            own_attempts = reason == "mac_loss" and time == died_at[node]
+            assert reason == "dead_receiver" or own_attempts, row
+        elif kind == "death":
+            died_at[node] = time
+        elif kind == "origin":
+            originated.add(row[3:5])
+        elif kind == "deliver":
+            assert row[3:5] in originated, row
 
 
 # ----- data plane -----

@@ -13,7 +13,8 @@ from qgrpsim import simulator
 from qgrpsim.actions import Data
 from qgrpsim.aodv import AodvNode
 from qgrpsim.config import parse_config
-from qgrpsim.dcf import DcfParams, density_row, interpolate_p_c, lookup_p_c, reference_table
+from qgrpsim.dcf import (REFERENCE_DENSITIES, REFERENCE_DISTANCES, DcfParams, build_table,
+                         density_row, interpolate_p_c, lookup_p_c, reference_table)
 from qgrpsim.geometry import Position, distance
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.metrics import compute_metrics
@@ -55,7 +56,7 @@ def test_topology_deterministic():
 def assert_adjacency_matches_per_node_scan(engine):
     nodes = engine.topology.nodes
     tx = engine.topology.tx_range
-    cs = engine.cfg.dcf.params.carrier_sense_radius
+    cs = engine.cfg.dcf.carrier_sense_radius
     for node in nodes:
         dist = {o.id: distance(node.position, o.position) for o in nodes}
         assert node.neighbor_ids == tuple(
@@ -83,7 +84,7 @@ AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 def test_adjacency_matches_distance_reference(x0, y0, placements):
     cfg = parse_config(f"[topology]\nn = {len(placements) + 1}\n")
     engine = Engine(cfg, table=constant_table(0.0))
-    radius = {"tx": cfg.topology.tx_range, "cs": cfg.dcf.params.carrier_sense_radius}
+    radius = {"tx": cfg.topology.tx_range, "cs": cfg.dcf.carrier_sense_radius}
     positions = [Position(float(x0), float(y0))]
     anchored = [positions[0]]  # integer coordinates
     for how, a, b in placements:
@@ -137,6 +138,13 @@ def test_radio_energy_examples():
     assert radio_rx_energy(2000, 50e-9) == pytest.approx(100e-6, rel=1e-12)
     cost = build_link_cost(0.0, 250.0, DcfParams(), 50e-9, 100e-12)
     assert cost.tx_j_per_bit * 2000 == pytest.approx(12.6e-3, rel=1e-12)
+
+
+def test_engine_solves_the_table_on_the_reference_grid():
+    cfg = parse_config("[topology]\nn = 2\n[dcf]\ncw_min = 16\n")
+    table = Engine(cfg).table
+    assert (table.densities, table.distances) == (REFERENCE_DENSITIES, REFERENCE_DISTANCES)
+    assert table == build_table(REFERENCE_DENSITIES, REFERENCE_DISTANCES, cfg.dcf)
 
 
 def test_collision_certain_table_is_rejected():
