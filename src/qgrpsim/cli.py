@@ -123,8 +123,9 @@ def run_experiment(cfg: ScenarioConfig, output_dir, protocols=None, write_logs=F
 def verify(output_dir) -> int:
     """Check each per-run row of output_dir's runs.csv against its log under `logs/`.
 
-    Exits 1 on a missing log, one without a final newline or a metric that differs
-    from the row, each printed on stderr; 2 if scenario.cfg or runs.csv is unreadable.
+    Exits 1 on a missing or unreadable log, one without a final newline or a metric
+    that differs from the row, each printed on stderr; 2 if scenario.cfg or runs.csv
+    is unreadable.
     """
     try:
         cfg = _load_config(os.path.join(output_dir, "scenario.cfg"))
@@ -142,11 +143,16 @@ def verify(output_dir) -> int:
         if not os.path.isfile(path):
             problems.append(f"{path}: missing")
             continue
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+            metrics = compute_metrics(parse_log(text), _run_config(cfg, protocol, n))
+        except (OSError, SyntaxError, ValueError, IndexError, TypeError,
+                ZeroDivisionError) as exc:
+            problems.append(f"{path}: unreadable: {type(exc).__name__}: {exc}")
+            continue
         if not text.endswith("\n"):
             problems.append(f"{path}: does not end in a newline")
-        metrics = compute_metrics(parse_log(text), _run_config(cfg, protocol, n))
         got = _row(protocol, n, seed, astuple(metrics)).split(",")
         problems += [f"{path}: {name}: runs.csv has {old!r}, the log gives {new!r}"
                      for name, old, new in zip(COLUMNS, cells, got) if old != new]

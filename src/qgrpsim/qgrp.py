@@ -17,15 +17,16 @@ positions come from `env.positions`.  A hello reports its sender's idle
 share through `sent_at`: a neighbour reads the sender's idle share of the
 last window closed by `sent_at` through `env.idle_fraction` when it
 refreshes its estimates, and a closed window is final, so that is the
-share the sender had when it sent the hello.  The engine debits and logs
-a hello's receptions itself and builds one frozen `NeighborRecord` per
-hello block.  It calls `on_hello` once per hello rx row of a receiver
-that survives it, with that record, and every such receiver of the block
-stores the same object: `on_hello` is one dict store, and returns
-nothing, because a hello never makes a node act.  `on_packet` dispatches
-every other packet.  The sequence-number guard is `is_fresher`, applied
-where an RREP installs a route.  A cache reply does not compare the
-requester's known sequence number, because an RREQ carries none.
+share the sender had when it sent the hello.  The engine receives a
+hello block whole: it debits and logs the block's receptions and builds
+one frozen `NeighborRecord` for it.  In that same pass it calls
+`on_hello` once per receiver that survives its debit, with that record,
+so every such receiver of the block stores the same object: `on_hello`
+is one dict store, and returns nothing, because a hello never makes a
+node act.  `on_packet` dispatches every other packet.  The
+sequence-number guard is `is_fresher`, applied where an RREP installs a
+route.  A cache reply does not compare the requester's known sequence
+number, because an RREQ carries none.
 """
 
 from __future__ import annotations
@@ -173,9 +174,9 @@ class QgrpNode:
     def on_hello(self, sender: int, record: NeighborRecord) -> None:
         """Keep record as what this node knows of sender.
 
-        The engine calls this once per hello rx row of a receiver that
-        survives it, and hands every such receiver of one hello block the
-        same frozen record.  Re-assigning a key keeps its first-heard place
+        The engine calls this while it receives a hello block, once per
+        receiver that survives the block's debit, and hands every such
+        receiver the block's one frozen record.  Re-assigning a key keeps its first-heard place
         in `neighbors`, the order `refresh` walks.
         """
         self.neighbors[sender] = record

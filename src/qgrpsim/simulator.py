@@ -11,47 +11,44 @@ no mutable state.
 
 Pending events sit in one heap, `Engine._heap`, ordered by (time,
 sequence).  A transmission's receptions take one heap entry, with one
-block of consecutive sequence numbers reserved for its receivers, in
-neighbour order, and `Engine.run` dispatches the block's receptions in
-one loop at the block's time.  That is the order of one heap holding
-every reception, because no other event dispatches inside a block: an
-event still pending when the block is popped comes after its first
-reception, and its sequence number lies outside the block, so it comes
-after the last; and anything a handler schedules gets a later sequence
+sequence number like any other event, and `Engine.run` dispatches the
+block's receptions in one loop at the block's time, in neighbour order.
+No other event dispatches inside a block: the block is popped and
+dispatched whole, and anything a handler schedules gets a later sequence
 number.
 
 The event log, `Engine.event_log`, is an `EventLog` (module `eventlog`):
 a row tuple per entry, except that consecutive rx rows of one block are
-kept as one `RxRun`.  Outside a hello block (below), `_on_arrival`
-returns the log entry that holds its rx row, and `run` hands it to the
-block's next reception; a block's first reception gets None.  That
-reception logs its row, like every unicast reception and every other
-row, as a plain tuple, so a block with one receiver costs nothing
-more.  A later reception extends the entry it is handed, and only while
-that entry is still the log's last, so no row logged in between (a
-death, a handler's transmission) changes places.  The entry then holds
-rows of this block alone, so its time, packet kind, bits and sender are
-the reception's own.  Its joules are too: a receiver that survives its
-debit consumes the block's whole rx energy, and one that dies on it logs
-its row, and its death row, as plain tuples.
+kept as one `RxRun`.  `_on_arrival` returns the log entry that holds its
+rx row, and `run` hands it to the block's next reception; a block's
+first reception gets None, and so does every reception of a hello block
+(below).  A block's first reception logs its row, like every unicast
+reception and every other row, as a plain tuple, so a block with one
+receiver costs nothing more.  A later reception extends the entry it is
+handed, and only while that entry is still the log's last, so no row
+logged in between (a death, a handler's transmission) changes places.
+The entry then holds rows of this block alone, so its time, packet kind,
+bits and sender are the reception's own.  Its joules are too: a receiver
+that survives its debit consumes the block's whole rx energy, and one
+that dies on it logs its row, and its death row, as plain tuples.
 
-A hello block is debited and logged whole before its first reception
-dispatches.  When `run` pops a block whose packet is a `Hello`,
-`_receive_hellos` walks its receivers in order: one dead before the block
-gets no row; one that survives its debit joins the current run of
-receivers, which becomes one `EventLog.append_rx`; one that dies on its
-debit ends the run and logs its rx row, then its death row.  It is the
-only code that debits a hello reception or logs its rows.  It returns the
-block's one `NeighborRecord`, frozen because the block's receivers share
-it, and `run` hands that record to each reception in place of a log
-entry; `_on_arrival` just passes it to `on_hello` for each receiver still
-alive.  This is exact: no other event dispatches inside a block, and
-`on_hello` neither logs, transmits nor reads energy, so making every debit
-and row of the block before its first `on_hello` gives the same rows and
-the same floats.  Sharing is exact too: the record holds the same float
-objects a record built per reception would (the hello's residual energy
-and send time, the block's time), and a receiver that loses a later
-hello keeps the record of the last block it heard.
+A hello block is received whole before its first reception dispatches.
+When `run` pops a block whose packet is a `Hello`, `_receive_hellos`
+walks its receivers in order: one dead before the block gets nothing;
+one that survives its debit joins the current run of receivers, which
+becomes one `EventLog.append_rx`, and gets the block's record through
+`on_hello`; one that dies on its debit ends the run and logs its rx row,
+then its death row, and gets no record.  It is the only code that debits
+a hello reception, logs its rows or calls `on_hello`, and `_on_arrival`
+returns at once for a hello.  The record is the block's one
+`NeighborRecord`, frozen because its survivors share it.  This is exact:
+no other event dispatches inside a block, and `on_hello` neither logs,
+transmits nor reads energy, so interleaving its calls with the block's
+debits gives the same rows and the same floats.  Sharing is exact too:
+the record holds the same float objects a record built per reception
+would (the hello's residual energy and send time, the block's time), and
+a receiver that loses a later hello keeps the record of the last block
+it heard.
 
 Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
 `_charge_busy` appends each transmission's airtime, split at window edges,
@@ -80,10 +77,10 @@ for reception k >= 1 of a block to `Engine._ready` and pops it at once;
 the pop is there only until the tracer counts receptions from blocks.  No
 `heapq` function but `heappush` and `heappop` is called; `_on_arrival`
 runs once per dispatched reception, which is once per `rx` row while no
-receiver is dead, a hello block's included; a protocol's `on_hello` runs
-once per hello `rx` row of a receiver that survives it, though the
-block's receivers share one record; and every name the tracer wraps keeps
-its name.
+receiver is dead, a hello block's included, though it returns at once
+for a hello; a protocol's `on_hello` runs once per hello `rx` row of a
+receiver that survives it, though the block's survivors share one
+record; and every name the tracer wraps keeps its name.
 """
 
 from __future__ import annotations
@@ -112,7 +109,7 @@ from .qgrp import AdmissionNotify, Hello, QgrpNode, Rrep, Rreq
 
 # Event kinds.  An event is the flat record (time, sequence, kind, *payload),
 # dispatched in (time, sequence) order.  An _ARRIVAL's payload is (receivers,
-# sender id, packet, bits): a block whose reception k has sequence sequence + k.
+# sender id, packet, bits): a block of receptions, dispatched in receivers order.
 _ARRIVAL = 0
 _TIMER = 1
 _EMIT = 2
@@ -375,13 +372,8 @@ class Engine:
         heapq.heappush(self._heap, (time, self._seq, kind, *payload))
 
     def _schedule_receptions(self, time, receivers, sender_id, pkt, bits):
-        """One heap entry for the receptions of one transmission, in receivers order.
-
-        Reserves one sequence number per receiver, consecutive from the entry's own.
-        """
-        seq = self._seq + 1
-        self._seq += len(receivers)
-        heapq.heappush(self._heap, (time, seq, _ARRIVAL, receivers, sender_id, pkt, bits))
+        """One heap entry for the receptions of one transmission, in receivers order."""
+        self._schedule(time, _ARRIVAL, receivers, sender_id, pkt, bits)
 
     def idle_fraction(self, node_id: int, now: float) -> float:
         """Idle share of node_id's last complete idle window before now.
@@ -570,14 +562,13 @@ class Engine:
             else:
                 raise TypeError(f"unknown effect {effect!r}")
 
-    def _receive_hellos(self, receivers, sender_id: int, pkt, bits: int,
-                        now: float) -> NeighborRecord:
-        """Debit and log every reception of a hello block, the only code that does.
+    def _receive_hellos(self, receivers, sender_id: int, pkt, bits: int, now: float):
+        """Receive every reception of a hello block: debit, log and store its record.
 
-        A survivor (`_debit`'s own case, amount < residual) is debited inline
-        and joins the run; a receiver that cannot pay goes through `_debit`,
-        after the run is flushed (module docstring).  Returns the record the
-        block's surviving receivers share.
+        A survivor (`_debit`'s own case, amount < residual) is debited inline,
+        joins the run and stores the block's one record through `on_hello`; a
+        receiver that cannot pay goes through `_debit`, after the run is
+        flushed, and stores nothing (module docstring).
         """
         amount = self._rx_energy.get(bits)
         if amount is None:
@@ -585,6 +576,7 @@ class Engine:
         nodes = self.nodes
         append_rx = self.event_log.append_rx
         kind = _PKT_KINDS[Hello]
+        record = NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
         run = []
         for to_id in receivers:
             node = nodes[to_id]
@@ -595,6 +587,7 @@ class Engine:
             if amount < residual:
                 energy.residual = residual - amount
                 run.append(to_id)
+                node.protocol.on_hello(sender_id, record)
                 continue
             if run:
                 append_rx(now, run, kind, bits, sender_id, amount)
@@ -603,23 +596,18 @@ class Engine:
             self.log_row(now, to_id, "death")
         if run:
             append_rx(now, run, kind, bits, sender_id, amount)
-        return NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
 
     def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
                     entry=None):
         """Receive pkt at to_id and return the log entry the block's next reception may extend.
 
-        A hello was debited and logged with its block by `_receive_hellos`, so
-        it only reaches on_hello, at a receiver still alive; entry is then the
-        block's shared record, returned for the next reception.  For any other
-        packet, entry is what the block's previous reception returned, None
-        for its first (module docstring).
+        entry is what the block's previous reception returned, None for its
+        first (module docstring).  A hello was received with its whole block
+        by `_receive_hellos`, so this returns None at once.
         """
-        node = self.nodes[to_id]
         if type(pkt) is Hello:
-            if node.alive:
-                node.protocol.on_hello(from_id, entry)
-            return entry
+            return
+        node = self.nodes[to_id]
         if not node.alive:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
@@ -674,9 +662,8 @@ class Engine:
         """Log the set-up rows, start every node and flow, and dispatch events to the horizon.
 
         Events dispatch in (time, seq) order, a block's receptions in one
-        loop (module docstring).  A hello block goes through
-        `_receive_hellos` when it is popped, and each of its receptions is
-        handed the record that returns.  Any other reception is handed the
+        loop (module docstring).  A hello block goes whole through
+        `_receive_hellos` when it is popped.  Each reception is handed the
         log entry the block's previous reception returned, and a block's
         first is handed None.  The first event past sim.duration is popped,
         dropped, and ends the run.
@@ -713,8 +700,9 @@ class Engine:
             kind = event[2]
             if kind == _ARRIVAL:
                 _, _, _, receivers, sender_id, pkt, bits = event
-                entry = (receive_hellos(receivers, sender_id, pkt, bits, time)
-                         if type(pkt) is Hello else None)
+                if type(pkt) is Hello:
+                    receive_hellos(receivers, sender_id, pkt, bits, time)
+                entry = None
                 for k, to_id in enumerate(receivers):
                     if k:  # the tracer's one pop per reception (module docstring)
                         ready.append((time, k))

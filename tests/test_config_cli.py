@@ -476,6 +476,22 @@ def test_verify_passes_on_run_output_and_fails_without_a_final_newline_or_a_log(
     assert capsys.readouterr().err == f"{log}: missing\n"
 
 
+def test_verify_names_each_unreadable_log_and_goes_on(tmp_path, capsys):
+    out = logged_output(tmp_path, "compare")
+    logs = [out / "logs" / name for name in sorted(os.listdir(out / "logs"))]
+    assert len(logs) == 4  # two protocols, two repetitions
+    # A line that is no row, a row too short for the fold, and a log without a row.
+    logs[0].write_text(logs[0].read_text() + "not a row\n")
+    logs[1].write_text(logs[1].read_text() + "0.0,1\n")
+    logs[3].write_text("\n")
+    assert main(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.findall(r"^(.*): unreadable: (\w+): ", err, re.M) == [
+        (str(logs[0]), "SyntaxError"), (str(logs[1]), "IndexError"),
+        (str(logs[3]), "ZeroDivisionError")]
+    assert len(err.splitlines()) == 3  # the intact log, logs[2], passes
+
+
 def test_verify_exits_2_when_the_directory_cannot_be_read(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent")]) == 2
     out = logged_output(tmp_path)

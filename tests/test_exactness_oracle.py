@@ -12,9 +12,10 @@ members (`_receive_hellos` undoes two):
 - `_receive_hellos` debits and logs each hello reception on its own,
   through `_debit` and `log_row`, where the engine debits survivors
   inline and stores a block's surviving receivers as one run;
-- `_receive_hellos` also builds a fresh `NeighborRecord` for every
-  reception, since its blocks hold one receiver, where the engine's
-  block receivers share one record;
+- `_receive_hellos` also stores a fresh `NeighborRecord` through
+  `on_hello` at every reception that survives its debit, since its
+  blocks hold one receiver, where the engine's block survivors share
+  one record;
 - `_neighbor_p_c` looks up every link's p_c through `lookup_p_c`, where
   the engine snaps the density row once and reuses the reverse
   direction's;
@@ -60,9 +61,11 @@ class PlainEngine(Engine):
             node = self.nodes[to_id]
             if node.alive:
                 self.log_row(now, to_id, "rx", kind, bits, sender_id, self._debit(node, amount))
-                if not node.alive:
+                if node.alive:
+                    node.protocol.on_hello(
+                        sender_id, NeighborRecord(pkt.residual_energy, pkt.sent_at, now))
+                else:
                     self.log_row(now, to_id, "death")
-        return NeighborRecord(pkt.residual_energy, pkt.sent_at, now)
 
     def _neighbor_p_c(self, sender):
         nodes = self.nodes

@@ -229,7 +229,7 @@ def test_run_dispatches_in_time_seq_order(events):
         dispatched.append((simulator._ARRIVAL, now, (to_id, from_id, entry)))
         if to_id == 1 and from_id % 3 == 0:
             # An event a handler schedules at the current time waits for the end of the
-            # block: its sequence number follows every one the block reserved.
+            # block: its sequence number follows the block's.
             engine._schedule(now, simulator._TIMER, *EVENT_PAYLOADS[simulator._TIMER])
         tokens.append(object())
         return tokens[-1]
@@ -251,10 +251,9 @@ def test_run_dispatches_in_time_seq_order(events):
                 engine._schedule(time, kind, *EVENT_PAYLOADS[kind])
         engine.run()  # adds the flow's start and first emission
     entries = sorted(recorder.pushed)
-    # Every dispatched event has a sequence number of its own: blocks reserve theirs.
-    seqs = [e[1] + k for e in entries
-            for k in range(len(e[3]) if e[2] == simulator._ARRIVAL else 1)]
-    assert len(set(seqs)) == len(seqs)
+    # Every heap entry has a sequence number of its own, and a block takes one like any
+    # other event: the numbers run 1, 2, ... without a gap.
+    assert sorted(e[1] for e in entries) == list(range(1, len(entries) + 1))
     # Heap pops follow (time, seq), the events handlers scheduled included.  A block's
     # token pops (time, 1) ... (time, len - 1), one before each further reception, follow
     # it straight away, and they are the only pops from the ready queue.
@@ -441,13 +440,14 @@ def test_a_hello_reports_its_senders_idle_share_as_of_its_send_time():
     # Sent just before the edge at 2 s, so its idle share is window 0's, and heard after it.
     hello = sender.protocol._emit_hello(1.999)[0].packet
     bits = cfg.pkt.hello
-    record = engine._receive_hellos((receiver.id,), sender.id, hello, bits, 2.05)
-    assert engine._on_arrival(receiver.id, sender.id, hello, bits, 2.05, record) is record
+    assert engine._receive_hellos((receiver.id,), sender.id, hello, bits, 2.05) is None
+    record = receiver.protocol.neighbors[sender.id]
+    assert engine._on_arrival(receiver.id, sender.id, hello, bits, 2.05) is None
     engine._charge_busy(receiver, 2.1, 0.6)  # window 2, charged after the hello
     receiver.protocol.refresh(3.1)
     rec = receiver.protocol.neighbors[sender.id]
     assert rec is record
-    assert (rec.sent_at, rec.last_heard) == (1.999, 2.05)
+    assert rec == NeighborRecord(hello.residual_energy, 1.999, 2.05)
     # Read at the reception time or at the refresh, the sender's share would be another.
     assert engine.idle_fraction(sender.id, 2.05) == pytest.approx(0.55)
     assert engine.idle_fraction(sender.id, 3.1) == pytest.approx(0.4)
@@ -534,11 +534,10 @@ def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
     handled = []
     receiver.protocol.on_packet = lambda *args: handled.append(args) or []
     receiver.protocol.on_hello = lambda *args: handled.append(args)
-    entry = None
     if isinstance(pkt, Hello):
         # A hello's debit and rows are made with its block, before its first reception.
-        entry = engine._receive_hellos((receiver.id,), 0, pkt, bits, 2.5)
-    engine._on_arrival(receiver.id, 0, pkt, bits, 2.5, entry)
+        assert engine._receive_hellos((receiver.id,), 0, pkt, bits, 2.5) is None
+    engine._on_arrival(receiver.id, 0, pkt, bits, 2.5)
     rows = [row for row in engine.event_log if row[1] == receiver.id]
     assert rows[0][2:4] == ("rx", "data" if isinstance(pkt, Data) else "hello")
     assert rows[0][6] == residual
@@ -564,7 +563,7 @@ class HelloRecorder(StubProtocol):
 
 
 @pytest.mark.parametrize("alive", [True, False])
-def test_on_arrival_passes_a_hello_on_without_debiting_or_logging_it(alive):
+def test_on_arrival_ignores_a_hello(alive):
     engine = always_lost_engine()
     receiver = engine.topology.nodes[1]
     heard = []
@@ -576,12 +575,30 @@ def test_on_arrival_passes_a_hello_on_without_debiting_or_logging_it(alive):
     calls = []
     engine._debit = lambda *args: calls.append(("_debit", args))
     engine.log_row = lambda *args: calls.append(("log_row", args))
-    record = NeighborRecord(1.0, 1.0, 2.5)
-    assert engine._on_arrival(receiver.id, 0, Hello(0, 1.0, 1.0), 2160, 2.5, record) is record
+    assert engine._on_arrival(receiver.id, 0, Hello(0, 1.0, 1.0), 2160, 2.5) is None
     assert calls == []
     assert list(engine.event_log) == []
     assert receiver.energy.residual == residual
-    assert heard == ([receiver.id] if alive else [])
+    assert heard == []
+
+
+def test_receive_hellos_stores_the_blocks_record_at_each_survivor():
+    # Receivers 1-5: 2 is dead before the block, and 3 dies on its debit.
+    engine = Engine(run_cfg(), table=constant_table(0.0))
+    bits = engine.cfg.pkt.hello
+    initial = engine.cfg.energy.initial
+    dead, exact = engine.nodes[2], engine.nodes[3]
+    dead.alive = False
+    dead.energy.residual = 0.0
+    exact.energy.residual = radio_rx_energy(bits, engine.cfg.energy.e_elec)
+    assert engine._receive_hellos((1, 2, 3, 4, 5), 0, Hello(0, initial, 0.9), bits, 1.0) is None
+    neighbors = [node.protocol.neighbors for node in engine.nodes]
+    record = neighbors[1][0]
+    assert record == NeighborRecord(initial, 0.9, 1.0)
+    assert neighbors[4][0] is record and neighbors[5][0] is record
+    assert [i for i, known in enumerate(neighbors) if known] == [1, 4, 5]
+    assert [row[1:3] for row in engine.event_log] == [
+        (1, "rx"), (3, "rx"), (3, "death"), (4, "rx"), (5, "rx")]
 
 
 def test_a_hello_block_is_settled_around_a_death():
