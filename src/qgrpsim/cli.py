@@ -12,7 +12,7 @@ from .config import ConfigError, ScenarioConfig, emit_config, parse_config
 from .dcf import (REFERENCE_DENSITIES, REFERENCE_DISTANCES, ConvergenceError, DcfParams,
                   build_table, write_table_csv)
 from .metrics import METRIC_NAMES, aggregate, compute_metrics
-from .simulator import _log_chunks, parse_log, run_scenario
+from .simulator import _log_chunks, read_rows, run_scenario
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -125,7 +125,7 @@ def verify(output_dir) -> int:
 
     Exits 1 on a missing or unreadable log, one without a final newline or a metric
     that differs from the row, each printed on stderr; 2 if scenario.cfg or runs.csv
-    is unreadable.
+    is unreadable.  Each log is folded line by line as it is read.
     """
     try:
         cfg = _load_config(os.path.join(output_dir, "scenario.cfg"))
@@ -143,15 +143,16 @@ def verify(output_dir) -> int:
         if not os.path.isfile(path):
             problems.append(f"{path}: missing")
             continue
+        last = ""  # the log's last line, once it is read
         try:
             with open(path) as fh:
-                text = fh.read()
-            metrics = compute_metrics(parse_log(text), _run_config(cfg, protocol, n))
+                metrics = compute_metrics(read_rows((last := line) for line in fh),
+                                          _run_config(cfg, protocol, n))
         except (OSError, SyntaxError, ValueError, IndexError, TypeError,
                 ZeroDivisionError) as exc:
             problems.append(f"{path}: unreadable: {type(exc).__name__}: {exc}")
             continue
-        if not text.endswith("\n"):
+        if not last.endswith("\n"):
             problems.append(f"{path}: does not end in a newline")
         got = _row(protocol, n, seed, astuple(metrics)).split(",")
         problems += [f"{path}: {name}: runs.csv has {old!r}, the log gives {new!r}"

@@ -41,8 +41,8 @@ class RxRun:
             yield (time, node_id, "rx", pkt_kind, bits, sender, joules)
 
 
-def log_entries(event_log) -> list:
-    """The stored entries of an EventLog (rows and runs), or a plain list of rows itself."""
+def log_entries(event_log):
+    """The stored entries of an EventLog (rows and runs), or plain rows themselves."""
     return event_log.entries if type(event_log) is EventLog else event_log
 
 

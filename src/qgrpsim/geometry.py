@@ -3,28 +3,26 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class DegeneratePositionError(ValueError):
     """An angle was requested for coincident positions."""
 
 
-@dataclass(frozen=True)
-class Position:
-    """A point in the 2-D deployment field, in meters."""
+class Position(namedtuple("Position", "x y")):
+    """A point in the 2-D deployment field, in meters: the tuple (x, y)."""
 
-    x: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"position coordinates must be finite, got ({self.x}, {self.y})")
+    def __new__(cls, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"position coordinates must be finite, got ({x}, {y})")
+        return super().__new__(cls, x, y)
 
 
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions, in meters."""
-    return math.hypot(b.x - a.x, b.y - a.y)
+# Euclidean distance between two positions, in meters; the same float in either order.
+distance = math.dist
 
 
 def _offsets(self_pos: Position, neighbor_pos: Position,

@@ -53,7 +53,7 @@ def left_sum(values) -> float:
 
 
 def compute_metrics(event_log, cfg) -> RunMetrics:
-    """Fold one event log, an `EventLog` or a plain list of rows, into the six figures.
+    """Fold one event log, an `EventLog` or an iterable of rows read once, into the six figures.
 
     A run of rx rows adds its joules to each receiver in order, as its rows would.
     """

@@ -50,24 +50,22 @@ would (the hello's residual energy and send time, the block's time), and
 a receiver that loses a later hello keeps the record of the last block
 it heard.
 
-Carrier-sense busy time is kept per idle window (`cfg.hello.idle_window`):
-`_charge_busy` appends each transmission's airtime, split at window edges,
-to its window's two lists, sender ids and segments, in charge order.  A
-node's total for a window is summed only when `idle_fraction` reads it,
-and is then memoised in `node.busy`.  Node i's carrier-sense set is its
-`cs_mask`, a bytearray whose byte j is 1 when node j lies within the
-carrier-sense radius; byte i is 1 too.  The masks are symmetric to the
-last bit: `_precompute_adjacency` measures each pair once, with
-`math.dist` over the nodes' (x, y), and that is the float
-`geometry.distance` gives in either order, because both apply one norm to
-the absolute coordinate differences, and |a - b| = |b - a|.  So node i is
-charged by sender s exactly when byte s of i's own mask is set: the total
-is that node's segments folded left to right from 0.0, the same sum, in
-the same order, as adding each segment to every sensing node at
-transmission time.  A window is final once it closes, because every
-charge starts at or after the current event time; so a read may ask for a
-window as of a past time, such as a hello's send time, and still gets the
-value it had then.
+Carrier-sense busy time is kept per idle window
+(`cfg.hello.idle_window`); `window_of` alone maps a time to its
+window.  `_charge_busy` appends each transmission's airtime, split at
+window edges, to its window's two lists, sender ids and segments, in
+charge order.  A node's total for a window is summed only when
+`idle_fraction` reads it, and is then memoised in `node.busy`.  Node i's
+carrier-sense set is its `cs_mask`, a bytearray whose byte j is 1 when
+node j lies within the carrier-sense radius; byte i is 1 too.  Set-up
+measures each pair once, and `geometry.distance` is symmetric to the last
+bit, so node i is charged by sender s exactly when byte s of i's own mask
+is set: the total is that node's segments folded left to right from 0.0,
+the same sum, in the same order, as adding each segment to every sensing
+node at transmission time.  A closed window is final, because every charge
+starts at or after the current event time; so a read may ask for a window
+as of a past time, such as a hello's send time, and still gets the value
+it had then.
 
 The benchmark's tracer (`bench/tracing.py`) counts work from outside, so
 the engine keeps to this: every event, each reception of a block among
@@ -85,8 +83,8 @@ record; and every name the tracer wraps keeps its name.
 
 from __future__ import annotations
 
+import ast
 import heapq
-import math
 import random
 from bisect import bisect_left
 from collections import defaultdict
@@ -98,7 +96,7 @@ from operator import add
 from .actions import Broadcast, Data, StartTimer, Unicast
 from .aodv import AodvNode, AodvRrep, AodvRreq
 # lookup_p_c stays importable from here, where the benchmark's tracer looks for it; the
-# engine itself reads p_c through interpolate_p_c, on the row its density snaps to.
+# engine itself reads p_c in Engine._p_c_at, on the row its density snaps to.
 from .dcf import (REFERENCE_DENSITIES, REFERENCE_DISTANCES, CollisionTable, DcfParams,
                   build_table, density_row, interpolate_p_c, lookup_p_c)  # noqa: F401
 from .eventlog import EventLog, RxRun, log_entries
@@ -207,6 +205,12 @@ def generate_topology(
     return Topology(nodes, sink_id, float(tx_range))
 
 
+def window_of(t: float, window: float) -> int:
+    """Index k of the idle window [k * window, (k + 1) * window) that holds time t."""
+    k = int(t / window)  # t / window may round an edge k * window down to just below k
+    return k + 1 if (k + 1) * window <= t else k
+
+
 def radio_rx_energy(bits: int, e_elec: float) -> float:
     return e_elec * bits
 
@@ -297,9 +301,7 @@ class Engine:
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
         # The density is fixed per engine, so every link reads one row of the table.
         self._p_c_row = density_row(self.table, self.density)
-        tx_range = self.topology.tx_range
-        self._broadcast_cost = self._cost_at(
-            interpolate_p_c(self._p_c_row, self.table.distances, tx_range), tx_range)
+        self._broadcast_cost = self._cost_at(self.topology.tx_range)
         # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
         # first broadcast, so each undirected broadcast link is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
@@ -321,21 +323,20 @@ class Engine:
         nodes = self.nodes
         tx = self.topology.tx_range
         cs = self.cfg.dcf.carrier_sense_radius
-        dist = math.dist
         ids = [node.id for node in nodes]
-        points = [(node.position.x, node.position.y) for node in nodes]
+        positions = [node.position for node in nodes]
         neigh = [[] for _ in nodes]
         masks = [bytearray(len(nodes)) for _ in nodes]
         # Node ids index nodes, and rows fill in id order, so every list comes out sorted.
         # The ids are the nodes' own objects: a range would make a new int above 256 for
         # every pair, and the neighbour tuples would keep each one alive.
-        # dist is symmetric to the last bit (module docstring), so each pair is measured once.
-        for i, p in zip(ids, points):
+        # distance is symmetric to the last bit, so each pair is measured once.
+        for i, p in zip(ids, positions):
             mask_i = masks[i]
             neigh_i = neigh[i]
             mask_i[i] = 1  # a node always senses itself
             k = i + 1
-            for j, d in zip(ids[k:], map(dist, points[k:], repeat(p))):
+            for j, d in zip(ids[k:], map(distance, positions[k:], repeat(p))):
                 if d <= cs:
                     mask_i[j] = 1
                     masks[j][i] = 1
@@ -383,7 +384,7 @@ class Engine:
         on its first read and memoised in node.busy.
         """
         window = self.cfg.hello.idle_window
-        bucket = int(now / window) - 1
+        bucket = window_of(now, window) - 1
         memo = self.nodes[node_id].busy
         busy = memo.get(bucket)
         if busy is None:
@@ -405,9 +406,13 @@ class Engine:
         sensed = self.nodes[node_id].cs_mask.__getitem__
         return reduce(add, compress(segs, map(sensed, senders)), 0.0)
 
-    def _cost_at(self, p_c: float, dist: float) -> LinkCost:
+    def _p_c_at(self, dist: float) -> float:
+        """The p_c of a link of length dist, on the table row of the run's density."""
+        return interpolate_p_c(self._p_c_row, self.table.distances, dist)
+
+    def _cost_at(self, dist: float) -> LinkCost:
         energy = self.cfg.energy
-        return build_link_cost(p_c, dist, self.cfg.dcf, energy.e_elec, energy.e_amp)
+        return build_link_cost(self._p_c_at(dist), dist, self.cfg.dcf, energy.e_elec, energy.e_amp)
 
     def _neighbor_p_c(self, sender: SensorNode) -> tuple[float, ...]:
         """The p_c of each link from sender, in neighbor_ids order.
@@ -421,13 +426,11 @@ class Engine:
         if p_cs is None:
             nodes = self.nodes
             sender_id = sender.id
-            row, dist_axis = self._p_c_row, self.table.distances
             out = []
             for nb_id in sender.neighbor_ids:
                 reverse = known.get(nb_id)
                 if reverse is None:
-                    out.append(interpolate_p_c(
-                        row, dist_axis, distance(sender.position, nodes[nb_id].position)))
+                    out.append(self._p_c_at(distance(sender.position, nodes[nb_id].position)))
                 else:
                     out.append(reverse[bisect_left(nodes[nb_id].neighbor_ids, sender_id)])
             p_cs = known[sender_id] = tuple(out)
@@ -437,9 +440,8 @@ class Engine:
         """Cost of the link from u to v, cached per directed pair."""
         cost = self._link_cache.get((u, v))
         if cost is None:
-            d = distance(self.nodes[u].position, self.nodes[v].position)
             cost = self._link_cache[u, v] = self._cost_at(
-                interpolate_p_c(self._p_c_row, self.table.distances, d), d)
+                distance(self.nodes[u].position, self.nodes[v].position))
         return cost
 
     def _debit(self, node: SensorNode, amount: float) -> float:
@@ -466,19 +468,15 @@ class Engine:
         and window when it reads them.
         """
         window = self.cfg.hello.idle_window
-        t = start
-        remaining = duration
-        if int(t / window) <= self._read_through:
+        if window_of(start, window) <= self._read_through:
             raise RuntimeError(f"airtime at {start!r} charged to an idle window already read")
         charges = self._charges
         sender_id = sender.id
+        t = start
+        remaining = duration
         while remaining > 0.0:
-            bucket = int(t / window)
-            ceiling = (bucket + 1) * window
-            if ceiling <= t:  # t is an edge whose quotient rounds down: it opens bucket + 1
-                bucket += 1
-                ceiling = (bucket + 1) * window
-            seg = min(remaining, ceiling - t)
+            bucket = window_of(t, window)
+            seg = min(remaining, (bucket + 1) * window - t)
             senders, segs = charges[bucket]
             senders.append(sender_id)
             segs.append(seg)
@@ -787,13 +785,15 @@ def _log_chunks(event_log: EventLog | list[tuple]):
         yield "".join(lines)
 
 
+def read_rows(lines):
+    """The rows of the lines of a log rendered by format_log, parsed one line at a time.
+
+    A line may keep its newline, as a file's lines do; blank lines are skipped.
+    """
+    stripped = (line.rstrip("\n") for line in lines)
+    return (tuple(ast.literal_eval(f"({line},)")) for line in stripped if line)
+
+
 def parse_log(text: str) -> list[tuple]:
     """Parse a log rendered by format_log back into tuples."""
-    import ast
-
-    rows = []
-    for line in text.splitlines():
-        if not line:
-            continue
-        rows.append(tuple(ast.literal_eval(f"({line},)")))
-    return rows
+    return list(read_rows(text.splitlines()))

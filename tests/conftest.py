@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qgrpsim.config import parse_config
 from qgrpsim.dcf import CollisionTable, reference_table, region_counts, solve_fixed_point
+from qgrpsim.simulator import window_of
 
 # CI runs the exactness oracle and the exact-radius adjacency property once more under
 # this profile: --hypothesis-profile=ci.
@@ -91,18 +92,15 @@ def eager_charge(busy, nodes, window, sender, start, duration):
     """Reference: add airtime to every carrier-sense node's buckets at transmission time.
 
     busy[i] is node i's bucket -> airtime dict; a node is charged when its
-    cs_mask holds the sender.
+    cs_mask holds the sender.  The window a time falls in is the engine's own
+    `window_of`.
     """
     segments = []
     t = start
     remaining = duration
     while remaining > 0.0:
-        bucket = int(t / window)
-        ceiling = (bucket + 1) * window
-        if ceiling <= t:
-            bucket += 1
-            ceiling = (bucket + 1) * window
-        seg = min(remaining, ceiling - t)
+        bucket = window_of(t, window)
+        seg = min(remaining, (bucket + 1) * window - t)
         segments.append((bucket, seg))
         t += seg
         remaining -= seg

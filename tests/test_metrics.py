@@ -2,7 +2,7 @@ import pytest
 
 from qgrpsim.config import parse_config
 from qgrpsim.metrics import RunMetrics, aggregate, compute_metrics, left_sum
-from qgrpsim.simulator import run_scenario
+from qgrpsim.simulator import format_log, parse_log, read_rows, run_scenario
 
 
 def cfg_for(duration=10.0, warm_up=2.0):
@@ -115,3 +115,22 @@ def test_metrics_pure_function_of_log():
     if originated:
         assert result.metrics.pdr == delivered / originated
     assert result.metrics.throughput <= cfg.mac.b_no
+
+
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_metrics_fold_rows_read_once(protocol):
+    # verify folds each log as it reads it, so one pass over the rows must give the figures
+    # the list gives.
+    cfg = parse_config(
+        "[topology]\nn = 12\nseed = 2\nfield_width = 300.0\nfield_height = 300.0\n"
+        f"[protocol]\nname = {protocol}\n"
+        "[sim]\nduration_s = 5.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 100000.0\nstart_s = 1.0\n"
+    )
+    result = run_scenario(cfg)
+    rows = list(result.event_log)
+    assert result.metrics.pdr
+    assert compute_metrics(iter(rows), cfg) == compute_metrics(rows, cfg) == result.metrics
+    text = format_log(result.event_log)
+    lines = iter(text.splitlines(keepends=True))
+    assert compute_metrics(read_rows(lines), cfg) == compute_metrics(parse_log(text), cfg)

@@ -27,6 +27,7 @@ from qgrpsim.simulator import (
     parse_log,
     radio_rx_energy,
     run_scenario,
+    window_of,
 )
 from conftest import constant_table, eager_charge, hello_death_config, reference_format_log
 
@@ -336,6 +337,24 @@ def test_airtime_splits_at_rounded_window_edges(window):
                 assert ref[sender.id] == dict(zip(buckets, segs))
 
 
+@pytest.mark.parametrize("window", [0.7, 0.1, 0.3, 1.1])
+def test_idle_read_at_a_rounded_window_edge_reads_the_window_it_closes(window):
+    # At a time on such an edge k * window, t / window reads just below k; the read must
+    # still take window k - 1, which has just closed, and not window k - 2.
+    edges = [k for k in range(1, 400) if int(k * window / window) == k - 1]
+    assert len(edges) >= 5
+    cfg = parse_config(f"[topology]\nn = 5\nseed = 2\n[hello]\nidle_window_s = {window}\n")
+    for k in edges[:20]:
+        engine = Engine(cfg, table=constant_table(0.0))
+        sender = engine.nodes[0]
+        engine._charge_busy(sender, (k - 0.75) * window, 0.5 * window)  # inside window k - 1
+        assert engine.idle_fraction(sender.id, k * window) == pytest.approx(0.5)
+        assert list(sender.busy) == [k - 1]
+        # Window k opens at the edge, so airtime from the edge on may still be charged.
+        engine._charge_busy(sender, k * window, 0.25 * window)
+        assert list(engine._charges) == [k - 1, k]
+
+
 def test_run_finishes_at_an_idle_window_with_rounded_edges():
     cfg = parse_config(
         "[topology]\nn = 20\nseed = 1\nfield_width = 400.0\nfield_height = 400.0\n"
@@ -374,7 +393,7 @@ def test_settled_busy_time_equals_eager_charging():
     closed = -1  # the last bucket whose pairs are in unread or read
 
     def read(node_id, bucket, at):
-        assert int(at / window) - 1 == bucket
+        assert window_of(at, window) - 1 == bucket
         idle = engine.idle_fraction(node_id, at)
         busy = ref[node_id].get(bucket, 0.0)
         assert nodes[node_id].busy[bucket] == busy
@@ -395,7 +414,7 @@ def test_settled_busy_time_equals_eager_charging():
         eager_charge(ref, nodes, window, sender, start, duration)
         # Windows closed before the one now's read settles, read at a past time in the
         # window after them, the way a hello's send time is read.
-        while closed < int(now / window) - 2:
+        while closed < window_of(now, window) - 2:
             closed += 1
             unread += [(node.id, closed) for node in nodes]
             rng.shuffle(unread)
@@ -404,7 +423,7 @@ def test_settled_busy_time_equals_eager_charging():
             zero_reads += not read(node_id, bucket, (bucket + rng.uniform(1.1, 1.9)) * window)
         if k % 23 == 0:  # a hello-time read: the last window closed by now
             node_id = rng.choice(nodes).id
-            bucket = int(now / window) - 1
+            bucket = window_of(now, window) - 1
             if bucket >= 0 and bucket not in nodes[node_id].busy:
                 read(node_id, bucket, now)
     assert straddles > 100
