@@ -212,14 +212,23 @@ class QgrpNode:
         """Bandwidth committed toward peer, summed over every flow's reservation."""
         return left_sum(r.bandwidth for r in self.reservations.values() if r.peer == peer)
 
-    def _reserve(self, flow_id: int, peer: int, bandwidth: float, now: float, confirmed: bool) -> None:
+    def _reserve(self, flow_id: int, peer: int, bandwidth: float, now: float, confirmed: bool) -> bool:
+        """Hold bandwidth toward peer for flow_id, unless the link's total would pass its
+        estimate, which may have fallen since the RREQ hop; a refusal leaves the old hold."""
         prior = self.reservations.get(flow_id)
-        if prior is not None and prior.peer != peer:
-            self.env.log(now, self.id, "release", flow_id, prior.peer, prior.bandwidth, "superseded")
         self.reservations[flow_id] = Reservation(peer, bandwidth, confirmed, now)
         total = self.reserved_toward(peer)
         est = self.estimates[peer]
+        if total > est:
+            if prior is None:
+                del self.reservations[flow_id]
+            else:
+                self.reservations[flow_id] = prior
+            return False
+        if prior is not None and prior.peer != peer:
+            self.env.log(now, self.id, "release", flow_id, prior.peer, prior.bandwidth, "superseded")
         self.env.log(now, self.id, "reserve", flow_id, peer, bandwidth, est, total)
+        return True
 
     def _release(self, flow_id: int, now: float, reason: str) -> None:
         res = self.reservations.pop(flow_id, None)
@@ -278,11 +287,13 @@ class QgrpNode:
             return None
         return max(sorted(candidates), key=lambda peer: self.link_metric(peer, now))
 
-    def _max_grantable(self, now: float, exclude) -> float:
-        """Largest requirement for which the forwarder set would be non-empty."""
+    def _max_grantable(self, now: float, exclude, own=None) -> float:
+        """Largest requirement for which the forwarder set would be non-empty, own's hold left out."""
+        held = self.reservations.get(own)
         best = 0.0
         for peer, bw in self._candidates(now, exclude):
-            best = max(best, bw - self.reserved_toward(peer))
+            mine = held.bandwidth if held is not None and held.peer == peer else 0.0
+            best = max(best, bw - (self.reserved_toward(peer) - mine))
         return best
 
     # ----- route establishment -----
@@ -306,10 +317,9 @@ class QgrpNode:
         """One RREQ hop: forward pkt over a reserved next hop off its trace, or reject it."""
         exclude = {*pkt.hop_trace, self.id}
         nxt = self.select_next_hop(pkt.required_bandwidth, now, exclude=exclude)
-        if nxt is None:
+        if nxt is None or not self._reserve(pkt.flow_id, nxt, pkt.required_bandwidth, now, confirmed=False):
             return AdmissionNotify(pkt.flow_id, self._max_grantable(now, exclude))
         est = self.estimates[nxt]
-        self._reserve(pkt.flow_id, nxt, pkt.required_bandwidth, now, confirmed=False)
         self.env.log(now, self.id, "rreq_link", pkt.flow_id, pkt.retry_index, nxt, est)
         bw = min(pkt.path_bandwidth_so_far, est)
         fwd = replace(pkt, path_bandwidth_so_far=bw, hop_trace=pkt.hop_trace + (self.id,))
@@ -378,8 +388,11 @@ class QgrpNode:
             res = self.reservations.get(pkt.flow_id)
             if res is not None:
                 self.refresh(now)
-                if next_hop in self.estimates:
-                    self._reserve(pkt.flow_id, next_hop, res.bandwidth, now, confirmed=True)
+                if next_hop in self.estimates and not self._reserve(
+                    pkt.flow_id, next_hop, res.bandwidth, now, confirmed=True
+                ):  # confirming would overbook the link: reject as an RREQ hop would
+                    grant = self._max_grantable(now, trace[: idx + 1], pkt.flow_id)
+                    return self.handle_admission_notify(AdmissionNotify(pkt.flow_id, grant), next_hop, now)
 
         if idx == 0:
             return self._admit_locally(pkt, now)

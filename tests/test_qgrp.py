@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qgrpsim.actions import Data, StartTimer, Unicast
 from qgrpsim.config import parse_config
+from qgrpsim.dcf import reference_table
 from qgrpsim.geometry import Position, distance, is_forward_progress
 from qgrpsim.link_estimation import NeighborRecord
 from qgrpsim.qgrp import (
@@ -376,6 +377,24 @@ def test_three_hop_line_bottleneck():
     assert back1[0].to == 0
 
 
+def test_confirmation_that_no_longer_fits_is_rejected():
+    # Node 1 holds 0.5e6 for flow 77 and 0.3e6 for flow 78 toward node 2.  When
+    # flow 77's RREP comes back, node 2's estimate has fallen to 0.6e6: confirming
+    # would overbook the link, so node 1 releases and notifies the previous hop.
+    env = line_env()
+    node = QgrpNode(1, env)
+    pin_estimates(node, 2.0, {2: 0.9e6})
+    node.handle_rreq(Rreq(77, 0.5e6, 1.5e6, 0, (0,)), 0, 2.0)
+    node.handle_rreq(Rreq(78, 0.3e6, 1.5e6, 0, (0,)), 0, 2.0)
+    pin_estimates(node, 2.5, {2: 0.6e6})
+    (effect,) = node.handle_rrep(Rrep(77, 1, 0.9e6, (0, 1, 2, 3)), 2, 2.5)
+    assert effect.to == 0
+    assert effect.packet == AdmissionNotify(77, 0.3e6)  # what the link has beside flow 78
+    assert [row[3] for row in env.rows_of("reserve")] == [77, 78]
+    assert env.rows_of("release") == [(2.5, 1, "release", 77, 2, 0.5e6, "rejected")]
+    assert list(node.reservations) == [78]
+
+
 # ----- route freshness -----
 
 def test_rrep_freshness_rules():
@@ -559,6 +578,24 @@ def test_reservations_fit_the_estimate_in_the_log(scenario):
     for row in Engine(replace(cfg, protocol="qgrp"), table=table).run().event_log:
         if row[2] == "reserve":
             assert row[7] <= row[6], row
+
+
+def test_reservations_fit_the_estimate_after_it_falls():
+    # At 1.0503 s node 20 gets flow 1's RREP; its estimate toward node 1 fell
+    # from 490 264 b/s at the RREQ hop to 361 532 b/s, below the 400 kb/s held.
+    cfg = parse_config(
+        "[topology]\nn = 23\nseed = 480\nfield_width = 400.0\nfield_height = 400.0\n"
+        "[energy]\ninitial_j = 0.05\n"
+        "[retry]\nmax_retries = 0\n"
+        "[mac]\nqueue_limit = 2\n"
+        "[hello]\nidle_window_s = 0.7\n"
+        "[sim]\nduration_s = 8.0\nwarm_up_s = 0.5\nrepetitions = 1\n"
+        "[flow:1]\nrate_bps = 400000.0\nstart_s = 1.0\n"
+        "[flow:2]\nrate_bps = 100000.0\nstart_s = 0.5\n"
+    )
+    log = Engine(cfg, table=reference_table()).run().event_log
+    assert all(row[7] <= row[6] for row in log if row[2] == "reserve")
+    assert (20, "release", 1, 1, 400000.0, "rejected") in {row[1:] for row in log}
 
 
 @settings(deadline=None)
