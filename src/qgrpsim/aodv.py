@@ -204,8 +204,8 @@ class AodvNode:
         if entry is not None and entry.valid and not self.env.alive(entry.next_hop):
             entry.valid = False
             self.env.log(now, self.id, "route_invalidate", self.env.sink_id, entry.next_hop)
-            entry = None
-        if entry is None or not entry.valid or entry.lifetime < now:
+        entry = self.valid_route(self.env.sink_id, now)
+        if entry is None:
             flow = self.flows.get(pkt.flow_id)
             if flow is not None and not flow.failed:
                 # Source-side: queue behind a fresh discovery.

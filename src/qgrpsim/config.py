@@ -1,12 +1,13 @@
 """Scenario configuration: sectioned key-value parsing, validation, defaults.
 
 Every key is declared once, as a dataclass field: in the section classes
-below, in `DcfParams` (the keys of [dcf]), `MetricWeights` ([weights]) and
-in `Flow` (keys of each [flow:<id>]).  Its annotation is the key's type,
-its default the key's default, and `params.param` adds the key name where
-it differs from the field name and the key's own check.  Key names carry
-their unit (`_s`, `_m`, `_j`, `_bps`, `_bits`); comments give the others.
-These declarations are the reference for every key, its unit, default and
+below, in `DcfParams` (the keys of [dcf]), `MetricWeights` ([weights], whose
+one key is `beta`: the bandwidth weight alpha is 1 - beta) and in `Flow`
+(keys of each [flow:<id>]).  Its annotation is the key's type, its default
+the key's default, and `params.param` adds the key name where it differs
+from the field name and the key's own check.  Key names carry their unit
+(`_s`, `_m`, `_j`, `_bps`, `_bits`); comments give the others.  These
+declarations are the reference for every key, its unit, default and
 check, but for the flow defaults: `Flow` declares one for `source` alone,
 and `parse_config` requires `rate_bps` and supplies `packet_bits` 2000,
 `start_s` 2.0, `stop_s` the run's duration and `required_bps` the flow's
@@ -248,18 +249,11 @@ def parse_config(text: str) -> ScenarioConfig:
             _require(name in KEYS, name, "unknown section")
             values.update(_read(name, raw, KEYS[name].get))
 
-    alpha, beta = ("weights", "alpha"), ("weights", "beta")
-    if alpha in values and beta not in values:
-        values[beta] = 1.0 - values[alpha]
-    elif beta in values and alpha not in values:
-        values[alpha] = 1.0 - values[beta]
-    # These classes check rules across their own keys; report them under the key named.
-    for path, cls, where in ((("weights",), MetricWeights, "weights.beta"),
-                             (("dcf",), DcfParams, "dcf.cw_max")):
-        try:
-            values[path] = _build(cls, values, path)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+    # DcfParams checks a rule across its own keys; report it under the key named.
+    try:
+        values[("dcf",)] = _build(DcfParams, values, ("dcf",))
+    except ValueError as exc:
+        raise ConfigError(f"dcf.cw_max: {exc}") from exc
     cfg = _build(ScenarioConfig, values)
     _require(0.0 <= cfg.sim.warm_up < cfg.sim.duration, "sim.warm_up_s",
              "must lie in [0, duration)")

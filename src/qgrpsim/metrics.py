@@ -117,14 +117,11 @@ def compute_metrics(event_log, cfg) -> RunMetrics:
 class AggregateMetrics:
     """Seed-averaged metrics with per-metric standard error.
 
-    Undefined per-run values are excluded from the average; their counts
-    are reported in `undefined`.
+    Undefined per-run values are excluded from the average.
     """
 
-    n_runs: int
     mean: dict
     stderr: dict
-    undefined: dict
 
 
 def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
@@ -133,11 +130,8 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
         raise ValueError("need at least one run to aggregate")
     mean: dict[str, float | None] = {}
     stderr: dict[str, float | None] = {}
-    undefined: dict[str, int] = {}
     for name in METRIC_NAMES:
-        values = [getattr(r, name) for r in runs]
-        defined = [v for v in values if v is not None]
-        undefined[name] = len(values) - len(defined)
+        defined = [v for r in runs if (v := getattr(r, name)) is not None]
         if not defined:
             mean[name] = None
             stderr[name] = None
@@ -149,4 +143,4 @@ def aggregate(runs: list[RunMetrics]) -> AggregateMetrics:
             stderr[name] = math.sqrt(var / len(defined))
         else:
             stderr[name] = 0.0
-    return AggregateMetrics(len(runs), mean, stderr, undefined)
+    return AggregateMetrics(mean, stderr)

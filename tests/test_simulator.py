@@ -26,6 +26,7 @@ from qgrpsim.simulator import (
     generate_topology,
     parse_log,
     radio_rx_energy,
+    read_rows,
     run_scenario,
     window_of,
 )
@@ -35,19 +36,19 @@ from conftest import constant_table, eager_charge, hello_death_config, reference
 # ----- topology -----
 
 def test_topology_minimal():
-    topo = generate_topology(2, seed=5)
+    topo = generate_topology(2, (1000.0, 1000.0), 5, 40.0)
     assert len(topo.nodes) == 2
     assert topo.sink_id in (0, 1)
 
 
 def test_topology_rejects_tiny():
     with pytest.raises(ValueError):
-        generate_topology(1)
+        generate_topology(1, (1000.0, 1000.0), 0, 40.0)
 
 
 def test_topology_deterministic():
-    a = generate_topology(50, seed=123)
-    b = generate_topology(50, seed=123)
+    a = generate_topology(50, (1000.0, 1000.0), 123, 40.0)
+    b = generate_topology(50, (1000.0, 1000.0), 123, 40.0)
     assert a.sink_id == b.sink_id
     assert [(n.position.x, n.position.y) for n in a.nodes] == [
         (n.position.x, n.position.y) for n in b.nodes
@@ -56,7 +57,7 @@ def test_topology_deterministic():
 
 def assert_adjacency_matches_per_node_scan(engine):
     nodes = engine.topology.nodes
-    tx = engine.topology.tx_range
+    tx = engine.cfg.topology.tx_range
     cs = engine.cfg.dcf.carrier_sense_radius
     for node in nodes:
         dist = {o.id: distance(node.position, o.position) for o in nodes}
@@ -105,14 +106,14 @@ def test_adjacency_matches_distance_reference(x0, y0, placements):
 
 
 def test_topology_positions_inside_field():
-    topo = generate_topology(200, field_size=(800.0, 600.0), seed=9)
+    topo = generate_topology(200, (800.0, 600.0), 9, 40.0)
     assert all(0 <= n.position.x <= 800 and 0 <= n.position.y <= 600 for n in topo.nodes)
 
 
 def test_mean_neighbor_degree_over_seeds():
     degrees = []
     for seed in range(50):
-        topo = generate_topology(100, (1000.0, 1000.0), 250.0, seed)
+        topo = generate_topology(100, (1000.0, 1000.0), seed, 40.0)
         nodes = topo.nodes
         count = 0
         for a in nodes:
@@ -543,7 +544,7 @@ def always_lost_engine():
     return engine
 
 
-@pytest.mark.parametrize("pkt", [Data(1, 2000, 0.0, 9), Hello(0, 1.0, 1.0)])
+@pytest.mark.parametrize("pkt", [Data(1, 2000, 0.0, 9), Hello(1.0, 1.0)])
 def test_receiver_dies_on_a_reception_it_cannot_pay_for(pkt):
     engine = always_lost_engine()
     receiver = engine.topology.nodes[1]
@@ -594,7 +595,7 @@ def test_on_arrival_ignores_a_hello(alive):
     calls = []
     engine._debit = lambda *args: calls.append(("_debit", args))
     engine.log_row = lambda *args: calls.append(("log_row", args))
-    assert engine._on_arrival(receiver.id, 0, Hello(0, 1.0, 1.0), 2160, 2.5) is None
+    assert engine._on_arrival(receiver.id, 0, Hello(1.0, 1.0), 2160, 2.5) is None
     assert calls == []
     assert list(engine.event_log) == []
     assert receiver.energy.residual == residual
@@ -610,7 +611,7 @@ def test_receive_hellos_stores_the_blocks_record_at_each_survivor():
     dead.alive = False
     dead.energy.residual = 0.0
     exact.energy.residual = radio_rx_energy(bits, engine.cfg.energy.e_elec)
-    assert engine._receive_hellos((1, 2, 3, 4, 5), 0, Hello(0, initial, 0.9), bits, 1.0) is None
+    assert engine._receive_hellos((1, 2, 3, 4, 5), 0, Hello(initial, 0.9), bits, 1.0) is None
     neighbors = [node.protocol.neighbors for node in engine.nodes]
     record = neighbors[1][0]
     assert record == NeighborRecord(initial, 0.9, 1.0)
@@ -642,7 +643,7 @@ def test_a_hello_block_is_settled_around_a_death():
         return on_arrival(*args)
 
     engine._on_arrival = counting_on_arrival
-    engine._schedule_receptions(1.0, (1, 2, 3, 4, 5), 0, Hello(0, initial, 0.9), bits)
+    engine._schedule_receptions(1.0, (1, 2, 3, 4, 5), 0, Hello(initial, 0.9), bits)
     engine.run()
     entries = simulator.log_entries(engine.event_log)[len(engine.nodes):]
     assert entries[:3] == [(1.0, 1, "rx", "hello", bits, 0, amount),
@@ -676,8 +677,8 @@ def test_a_hello_blocks_receivers_share_one_frozen_record(monkeypatch):
     dead.alive = False
     dead.energy.residual = 0.0
     exact.energy.residual = radio_rx_energy(bits, engine.cfg.energy.e_elec)
-    engine._schedule_receptions(1.0, (1, 2, 3, 4, 5), 0, Hello(0, initial, 0.9), bits)
-    engine._schedule_receptions(2.0, (1, 5), 0, Hello(0, initial - 1.0, 1.9), bits)
+    engine._schedule_receptions(1.0, (1, 2, 3, 4, 5), 0, Hello(initial, 0.9), bits)
+    engine._schedule_receptions(2.0, (1, 5), 0, Hello(initial - 1.0, 1.9), bits)
     engine.run()
     first, second = heard[0][2], heard[3][2]
     assert heard == [(1, 0, first), (4, 0, first), (5, 0, first),
@@ -838,6 +839,24 @@ def test_log_round_trip_preserves_metrics():
     back = parse_log(format_log(result.event_log))
     assert back == result.event_log
     assert compute_metrics(back, cfg) == result.metrics
+
+
+# Lines format_log never writes.  The first two would nest ast's parse as deep as they are
+# long; each must be refused before ast sees it, on every Python version.
+NOT_ROWS = {
+    "200000_terms": "1" + "+1" * 200_000,
+    "100000_signs": "-" * 100_000 + "1",
+    "words": "not a row",
+    "nested_tuple": "0.0,1,'admit',((1, 2),)",
+    "leading_zero": "0.0,01,'death'",
+    "empty_field": "0.0,,'death'",
+}
+
+
+@pytest.mark.parametrize("line", NOT_ROWS.values(), ids=NOT_ROWS.keys())
+def test_read_rows_refuses_a_line_format_log_does_not_write(line):
+    with pytest.raises(ValueError, match="^not a log row: "):
+        list(read_rows(["0.0,0,'death'\n", line + "\n"]))
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2 * simulator._FORMAT_CHUNK_ROWS + 3])
