@@ -148,8 +148,7 @@ def verify(output_dir) -> int:
             with open(path) as fh:
                 metrics = compute_metrics(read_rows((last := line) for line in fh),
                                           _run_config(cfg, protocol, n))
-        except (OSError, SyntaxError, ValueError, IndexError, TypeError,
-                ZeroDivisionError) as exc:
+        except (OSError, ValueError, IndexError, TypeError, ZeroDivisionError) as exc:
             problems.append(f"{path}: unreadable: {type(exc).__name__}: {exc}")
             continue
         if not last.endswith("\n"):

@@ -83,7 +83,6 @@ record; and every name the tracer wraps keeps its name.
 
 from __future__ import annotations
 
-import ast
 import heapq
 import random
 import re
@@ -778,19 +777,23 @@ def _log_chunks(event_log: EventLog | list[tuple]):
         yield "".join(lines)
 
 
-# A line format_log writes: comma-joined fields, each an int or float repr, a bool, a quoted
-# word or a flat tuple of ints.  Only such a line reaches ast, so none nests deeper than that.
+# A line format_log writes: comma-joined fields, each a float or int repr, a bool, a quoted
+# word or a flat tuple of ints.  Each kind of field has one group, and _VALUE builds its value.
 _INT = r"-?(?:0|[1-9][0-9]*)"
-_FIELD = (rf"{_INT}(?:\.[0-9]+)?(?:e[-+][0-9]+)?|True|False|'\w+'"
-          rf"|\((?:{_INT}(?:, {_INT})+|{_INT},)?\)")
+_FIELD = (rf"({_INT}(?:\.[0-9]+(?:e[-+][0-9]+)?|e[-+][0-9]+))|({_INT})|(True|False)|'(\w+)'"
+          rf"|\(((?:{_INT}(?:, {_INT})+|{_INT},)?)\)")
 _ROW = re.compile(rf"(?:{_FIELD})(?:,(?:{_FIELD}))*", re.ASCII)
+_FIELDS = re.compile(_FIELD, re.ASCII)
+_VALUE = (None, float, int, "True".__eq__, str,
+          lambda ints: tuple(int(i) for i in ints.split(",") if i))  # by group index
 
 
 def read_rows(lines):
     """The rows of the lines of a log rendered by format_log, parsed one line at a time.
 
     A line may keep its newline, as a file's lines do; blank lines are skipped.  Any
-    other line that `_ROW` does not match raises ValueError before `ast` reads it.
+    other line that `_ROW` does not match raises ValueError.  Each field's value is
+    built from the `_FIELD` group that matched it.
     """
     for line in lines:
         line = line.rstrip("\n")
@@ -798,7 +801,7 @@ def read_rows(lines):
             continue
         if _ROW.fullmatch(line) is None:
             raise ValueError(f"not a log row: {line[:60]!r}")
-        yield tuple(ast.literal_eval(f"({line},)"))
+        yield tuple(_VALUE[m.lastindex](m[m.lastindex]) for m in _FIELDS.finditer(line))
 
 
 def parse_log(text: str) -> list[tuple]:

@@ -1,7 +1,9 @@
+import ast
 import heapq
 import math
 import random
 import statistics
+import string
 from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
@@ -841,8 +843,9 @@ def test_log_round_trip_preserves_metrics():
     assert compute_metrics(back, cfg) == result.metrics
 
 
-# Lines format_log never writes.  The first two would nest ast's parse as deep as they are
-# long; each must be refused before ast sees it, on every Python version.
+# Lines format_log never writes, each refused by the row pattern.  The first two are
+# operator chains tens of thousands deep; the rest are fields, or a field separator,
+# that the pattern's groups do not accept.
 NOT_ROWS = {
     "200000_terms": "1" + "+1" * 200_000,
     "100000_signs": "-" * 100_000 + "1",
@@ -850,6 +853,14 @@ NOT_ROWS = {
     "nested_tuple": "0.0,1,'admit',((1, 2),)",
     "leading_zero": "0.0,01,'death'",
     "empty_field": "0.0,,'death'",
+    "trailing_comma": "0.0,1,'death',",
+    "tuple_without_space": "0.0,1,'admit',(1,2)",
+    "bare_point": "1.,1,'death'",
+    "no_int_part": ".5,1,'death'",
+    "exponent_without_sign": "1e5,1,'death'",
+    "inf": "inf,1,'death'",
+    "nan": "nan,1,'death'",
+    "two_words": "0.0,1,'two words'",
 }
 
 
@@ -857,6 +868,27 @@ NOT_ROWS = {
 def test_read_rows_refuses_a_line_format_log_does_not_write(line):
     with pytest.raises(ValueError, match="^not a log row: "):
         list(read_rows(["0.0,0,'death'\n", line + "\n"]))
+
+
+# Field values of each kind format_log writes, with the alike values a parser could
+# confuse: 0 and -0.0 against 0.0, 1 and True against 1.0, and float reprs with and
+# without a point or an exponent.
+LOG_FIELDS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, -1, 0.0, -0.0, 1.0, 5e-324, 1e+16, -1.5e-05, True, False]),
+    st.text(string.ascii_letters + string.digits + "_", min_size=1, max_size=8),
+    st.lists(st.integers(), max_size=3).map(tuple),
+)
+
+
+@given(st.lists(st.lists(LOG_FIELDS, min_size=1, max_size=8), max_size=4))
+def test_read_rows_gives_each_field_its_exact_type_and_value(rows):
+    # ast is the reference: it reads a written line as the Python literals it is.
+    lines = [",".join(map(repr, row)) for row in rows]
+    got = [[(type(v), repr(v)) for v in row] for row in read_rows(line + "\n" for line in lines)]
+    assert got == [[(type(v), repr(v)) for v in ast.literal_eval(f"({line},)")]
+                   for line in lines]
 
 
 @pytest.mark.parametrize("rows", [0, 1, 2 * simulator._FORMAT_CHUNK_ROWS + 3])
