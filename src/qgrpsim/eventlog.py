@@ -4,8 +4,9 @@ At n = 400 almost every log row is a hello reception, and the receptions
 of one broadcast share every field but the receiver.  An `EventLog` keeps
 such consecutive rows as one `RxRun`: the shared fields once, and the
 receiver ids in order.  It reads as the list of rows it stands for.
-`EventLog.append_rx` stores a whole run of such rows at once, in the
-form the row-by-row `append` and `extend_rx` chain would leave.
+`EventLog.add_rx` and `EventLog.append_rx` are the only writers of rx
+rows: the first joins one row to the last entry when they share their
+field objects, the second stores a whole run of rows at once.
 `log_entries` gives the stored form to the two readers that fold a log
 (`metrics.compute_metrics`) or render it (`simulator.format_log`); each
 also takes a plain list of rows, such as a parsed log.
@@ -51,9 +52,9 @@ class EventLog:
 
     Iterating yields every row as a tuple, in order; len is the row count,
     and equality, truth and indexing are those of the list of rows.
-    `append` adds one row as it is; `extend_rx` adds an rx row by
-    extending the last entry; `append_rx` adds the rx rows of several
-    receivers at once.
+    `append` adds one row as it is; `add_rx` adds an rx row, joined to
+    the last entry where it can be; `append_rx` adds the rx rows of
+    several receivers at once.
     """
 
     __slots__ = ("entries", "append")
@@ -62,30 +63,36 @@ class EventLog:
         self.entries: list = []
         self.append = self.entries.append
 
-    def extend_rx(self, entry, node_id: int):
-        """Add the rx row that repeats entry's fields with node_id, if entry is still last.
+    def add_rx(self, time, node_id: int, pkt_kind: str, bits: int, sender: int,
+               joules: float):
+        """Add the rx row (time, node_id, "rx", pkt_kind, bits, sender, joules).
 
-        entry is an rx row or run of this log, or None, which is never last.
-        Returns the extended entry, an `RxRun`, or None when the row was not
-        added.  That the row repeats entry's fields is the caller's to vouch for.
+        The row joins the last entry when that is an rx row or run whose
+        time, packet kind, bits, sender and joules are these very objects
+        (`is`, not `==`), and is appended as its plain row otherwise.
         """
         log = self.entries
-        if not log or log[-1] is not entry:
-            return None
-        if type(entry) is RxRun:
-            entry.receivers.append(node_id)
-            return entry
-        time, first, _, pkt_kind, bits, sender, joules = entry
-        run = log[-1] = RxRun(time, (first, node_id), pkt_kind, bits, sender, joules)
-        return run
+        if log:
+            last = log[-1]
+            if type(last) is RxRun:
+                if (last.time is time and last.sender is sender and last.joules is joules
+                        and last.bits is bits and last.pkt_kind is pkt_kind):
+                    last.receivers.append(node_id)
+                    return
+            elif (last[0] is time and last[2] == "rx" and last[5] is sender
+                  and last[6] is joules and last[4] is bits and last[3] is pkt_kind):
+                log[-1] = RxRun(time, (last[1], node_id), pkt_kind, bits, sender, joules)
+                return
+        log.append((time, node_id, "rx", pkt_kind, bits, sender, joules))
 
     def append_rx(self, time, receivers, pkt_kind: str, bits: int, sender: int,
                   joules: float):
         """Add one rx row per receiver, in order, every other field shared.
 
         receivers holds one id or more, and is copied.  One receiver is
-        stored as its plain row and more as one `RxRun`: the entries that
-        `append` of the first row and `extend_rx` of each later one leave.
+        stored as its plain row and more as one `RxRun`, never joined to
+        the last entry: what `add_rx` of each row leaves after a row of
+        another kind.
         """
         if len(receivers) == 1:
             self.append((time, receivers[0], "rx", pkt_kind, bits, sender, joules))

@@ -19,18 +19,11 @@ number.
 
 The event log, `Engine.event_log`, is an `EventLog` (module `eventlog`):
 a row tuple per entry, except that consecutive rx rows of one block are
-kept as one `RxRun`.  `_on_arrival` returns the log entry that holds its
-rx row, and `run` hands it to the block's next reception; a block's
-first reception gets None, and so does every reception of a hello block
-(below).  A block's first reception logs its row, like every unicast
-reception and every other row, as a plain tuple, so a block with one
-receiver costs nothing more.  A later reception extends the entry it is
-handed, and only while that entry is still the log's last, so no row
-logged in between (a death, a handler's transmission) changes places.
-The entry then holds rows of this block alone, so its time, packet kind,
-bits and sender are the reception's own.  Its joules are too: a receiver
-that survives its debit consumes the block's whole rx energy, and one
-that dies on it logs its row, and its death row, as plain tuples.
+kept as one `RxRun`.  `EventLog.add_rx` joins a row to the last entry
+only when their time, packet kind, bits, sender and joules are the very
+same objects, which holds for rows of one block alone, since each block's
+time is a float of its own.  A receiver that dies on its debit logs its
+rx row, then its death row, as plain entries.
 
 A hello block is received whole before its first reception dispatches.
 When `run` pops a block whose packet is a `Hello`, `_receive_hellos`
@@ -582,49 +575,40 @@ class Engine:
             if run:
                 append_rx(now, run, kind, bits, sender_id, amount)
                 run = []
-            self.log_row(now, to_id, "rx", kind, bits, sender_id, self._debit(node, amount))
+            append_rx(now, (to_id,), kind, bits, sender_id, self._debit(node, amount))
             self.log_row(now, to_id, "death")
         if run:
             append_rx(now, run, kind, bits, sender_id, amount)
 
-    def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float,
-                    entry=None):
-        """Receive pkt at to_id and return the log entry the block's next reception may extend.
-
-        entry is what the block's previous reception returned, None for its
-        first (module docstring).  A hello was received with its whole block
-        by `_receive_hellos`, so this returns None at once.
-        """
+    def _on_arrival(self, to_id: int, from_id: int, pkt, bits: int, now: float):
+        """Receive pkt at to_id; a hello was received with its whole block by `_receive_hellos`."""
         if type(pkt) is Hello:
             return
         node = self.nodes[to_id]
         if not node.alive:
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
-            return entry
+            return
         amount = self._rx_energy.get(bits)
         if amount is None:
             amount = self._rx_energy[bits] = radio_rx_energy(bits, self.cfg.energy.e_elec)
         consumed = self._debit(node, amount)
-        log = self.event_log
-        entry = log.extend_rx(entry, to_id) if entry is not None and node.alive else None
-        if entry is None:
-            entry = (now, to_id, "rx", _PKT_KINDS[type(pkt)], bits, from_id, consumed)
-            log.append(entry)
+        kind = _PKT_KINDS[type(pkt)]
         if not node.alive:
+            self.event_log.append_rx(now, (to_id,), kind, bits, from_id, consumed)
             self.log_row(now, to_id, "death")
             if isinstance(pkt, Data):
                 self.log_row(now, to_id, "drop", pkt.flow_id, pkt.sequence, "dead_receiver")
             return
+        self.event_log.add_rx(now, to_id, kind, bits, from_id, consumed)
         # The id test comes first: it is the cheaper one, and most receptions fail it.
         if to_id == self.sink_id and isinstance(pkt, Data):
             self.log_row(now, to_id, "deliver", pkt.flow_id, pkt.sequence, pkt.origin_timestamp,
                          pkt.payload_size)
-            return entry
+            return
         effects = node.protocol.on_packet(pkt, from_id, now)
         if effects:
             self._apply(node, effects, now)
-        return entry
 
     def _on_emit(self, flow_index: int, seq: int, now: float):
         flow = self.flows[flow_index]
@@ -653,10 +637,8 @@ class Engine:
 
         Events dispatch in (time, seq) order, a block's receptions in one
         loop (module docstring).  A hello block goes whole through
-        `_receive_hellos` when it is popped.  Each reception is handed the
-        log entry the block's previous reception returned, and a block's
-        first is handed None.  The first event past sim.duration is popped,
-        dropped, and ends the run.
+        `_receive_hellos` when it is popped.  The first event past
+        sim.duration is popped, dropped, and ends the run.
         """
         cfg = self.cfg
         for node in self.nodes:
@@ -692,12 +674,11 @@ class Engine:
                 _, _, _, receivers, sender_id, pkt, bits = event
                 if type(pkt) is Hello:
                     receive_hellos(receivers, sender_id, pkt, bits, time)
-                entry = None
                 for k, to_id in enumerate(receivers):
                     if k:  # the tracer's one pop per reception (module docstring)
                         ready.append((time, k))
                         heappop(ready)
-                    entry = on_arrival(to_id, sender_id, pkt, bits, time, entry)
+                    on_arrival(to_id, sender_id, pkt, bits, time)
             elif kind == _TX_DONE:
                 nodes[event[3]].pending_tx -= 1
             elif kind == _TIMER:

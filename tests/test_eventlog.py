@@ -42,58 +42,70 @@ def other_row(draw, time):
 
 @st.composite
 def logged(draw):
-    """An EventLog filled as the engine fills it, and the plain rows it stands for.
+    """An EventLog filled as the engine fills it, the plain rows it stands for, and the
+    number of rows each stored entry should hold.
 
     A block is one transmission's receptions: its time is an object of its
     own, and its rows share the time, packet kind, bits, sender and joules
-    objects.  As in `Engine.run` and `Engine._on_arrival`, each reception
-    gets the entry the block's previous reception returned, None for the
-    first, and a receiver that survives offers its row to extend_rx first.
-    A receiver may be dead (no row, the entry passes on), may die (other
-    joules, a plain row, then a death row, and None passes on), or its
-    handler may log rows before the next reception.
+    objects.  A block's values may repeat the last block's, in other objects
+    or in equal values of another type, which never join its run.  As in
+    `Engine._on_arrival`, a receiver that survives logs its row through
+    add_rx.  A receiver may be dead (no row), may die (other joules, a plain
+    row through append_rx, then a death row), or its handler may log rows
+    before the next reception.
     """
-    log, rows = EventLog(), []
+    log, rows, sizes = EventLog(), [], []
 
     def plain(row):
         log.append(row)
         rows.append(row)
+        sizes.append(1)
 
     for node in draw(st.lists(NODE_IDS, unique=True, max_size=4)):
         plain((0.0, node, "node", 0.0, 0.0, draw(FLOATS), "sensor"))
-    time = 0.0
+    time = joules = 0.0
     for _ in range(draw(st.integers(0, 8))):
         if draw(st.booleans()):
             plain(other_row(draw, time))
             continue
         # An equal time after the last block's is a different object, as a new end time is.
         time = fresh(draw(st.just(time) | FLOATS))
-        pkt_kind, bits, sender, joules = draw(PKT_KINDS), draw(BITS), draw(SENDERS), draw(FLOATS)
+        pkt_kind, bits, sender = draw(PKT_KINDS), draw(BITS), draw(SENDERS)
+        joules = fresh(draw(st.just(joules) | FLOATS))
         fates = st.sampled_from(["heard", "heard", "heard", "dead", "dies", "handler"])
-        entry = None
+        joinable = False  # whether the last entry holds this block's rows
         for fate in draw(st.lists(fates, min_size=1, max_size=6)):
             if fate == "dead":
                 continue
             node = draw(NODE_IDS)
-            consumed = joules if fate != "dies" else fresh(draw(st.just(joules) | FLOATS))
-            row = (time, node, "rx", pkt_kind, bits, sender, consumed)
-            entry = log.extend_rx(entry, node) if entry is not None and fate != "dies" else None
-            if entry is None:
-                entry = row
-                log.append(row)
-            rows.append(row)
             if fate == "dies":
-                entry = None
+                consumed = fresh(draw(st.just(joules) | FLOATS))
+                log.append_rx(time, (node,), pkt_kind, bits, sender, consumed)
+                rows.append((time, node, "rx", pkt_kind, bits, sender, consumed))
+                sizes.append(1)
                 plain((time, node, "death"))
-            elif fate == "handler":
+                joinable = False
+                continue
+            log.add_rx(time, node, pkt_kind, bits, sender, joules)
+            rows.append((time, node, "rx", pkt_kind, bits, sender, joules))
+            if joinable:
+                sizes[-1] += 1
+            else:
+                sizes.append(1)
+            joinable = True
+            if fate == "handler":
                 for _ in range(draw(st.integers(1, 2))):
                     plain(other_row(draw, time))
-    return log, rows
+                joinable = False
+    return log, rows, sizes
 
 
 @given(logged())
 def test_event_log_reads_as_its_rows(case):
-    log, rows = case
+    log, rows, sizes = case
+    # A block's receptions with no row between are one entry, and no entry holds rows of
+    # two blocks.
+    assert [len(e.receivers) if type(e) is RxRun else 1 for e in log.entries] == sizes
     assert list(log) == rows
     assert len(log) == len(rows)
     assert bool(log) == bool(rows)
@@ -121,32 +133,43 @@ def test_event_log_reads_as_its_rows(case):
 def test_a_block_is_one_entry_until_a_row_comes_between():
     log = EventLog()
     t, joules, other = 1.5, 1e-6, 2e-6
-    first = (t, 4, "rx", "hello", 160, 9, joules)
-    log.append(first)
-    run = log.extend_rx(first, 5)
+    for node in (4, 5, 6):
+        log.add_rx(t, node, "hello", 160, 9, joules)
+    (run,) = log.entries
     assert type(run) is RxRun
-    assert log.extend_rx(run, 6) is run
-    assert log.entries == [run]
-    # A receiver that dies logs its row and its death row as plain tuples, and hands
-    # None on: a block's first reception gets None too, and None is never last.
-    log.append((t, 7, "rx", "hello", 160, 9, other))
+    # A receiver that dies logs its row and its death row as plain tuples, and the next
+    # reception starts an entry of its own: the run before the death is no longer last.
+    log.append_rx(t, (7,), "hello", 160, 9, other)
     log.append((t, 7, "death"))
-    assert log.extend_rx(None, 8) is None
-    row = (t, 8, "rx", "hello", 160, 9, joules)
-    log.append(row)
-    second = log.extend_rx(row, 3)
-    assert type(second) is RxRun
-    # An entry that is no longer last is refused, a run or a row.
-    assert log.extend_rx(run, 2) is None
-    handled = (t, 1, "rx", "hello", 160, 9, joules)
-    log.append(handled)
+    log.add_rx(t, 8, "hello", 160, 9, joules)
+    log.add_rx(t, 3, "hello", 160, 9, joules)
+    assert type(log.entries[-1]) is RxRun
+    # A handler's row comes between, so the next reception is a plain row again.
+    log.add_rx(t, 1, "hello", 160, 9, joules)
     log.append((t, 1, "tx", "rreq", 480, -1, 1, 0.0, 0.0, -1, -1))
-    assert log.extend_rx(handled, 0) is None
-    assert log.extend_rx(second, 0) is None
+    log.add_rx(t, 0, "hello", 160, 9, joules)
     assert [type(entry) for entry in log.entries] == [RxRun, tuple, tuple, RxRun, tuple, tuple]
-    assert [row[1] for row in log] == [4, 5, 6, 7, 7, 8, 3, 1, 1]
-    assert EventLog().extend_rx(None, 1) is None
-    assert EventLog().extend_rx(first, 1) is None
+    assert [row[1] for row in log] == [4, 5, 6, 7, 7, 8, 3, 1, 1, 0]
+    assert list(run.receivers) == [4, 5, 6]
+
+
+def test_equal_fields_that_are_other_objects_are_not_joined():
+    t, joules = 1.5, 1e-6
+    shared = (t, "hello", 160, 1, joules)
+    # The same value in another object, or an equal value of another type, per field.
+    others = (fresh(t), "".join(["hel", "lo"]), 160.0, True, fresh(joules))
+    log = EventLog()
+    log.add_rx(t, 0, *shared[1:])
+    expected = [(t, 0, "rx", *shared[1:])]
+    for k, other in enumerate(others):
+        assert other == shared[k] and other is not shared[k]
+        fields = shared[:k] + (other,) + shared[k + 1:]
+        for fields_now in (fields, shared):
+            log.add_rx(fields_now[0], k + 1, *fields_now[1:])
+            expected.append((fields_now[0], k + 1, "rx", *fields_now[1:]))
+    assert all(type(entry) is tuple for entry in log.entries)
+    assert log.entries == expected
+    assert all(a is b for row, want in zip(log, expected) for a, b in zip(row, want))
 
 
 @pytest.mark.parametrize("size", [1, 2, 5])
@@ -154,10 +177,8 @@ def test_append_rx_stores_what_the_row_by_row_chain_stores(size):
     t, kind, bits, sender, joules = 1.5, "hello", 160, 70_000, 1e-6
     receivers = [4, 255, 70_000, 2**32 - 1, 0][:size]
     chained = EventLog()
-    entry = (t, receivers[0], "rx", kind, bits, sender, joules)
-    chained.append(entry)
-    for node in receivers[1:]:
-        entry = chained.extend_rx(entry, node)
+    for node in receivers:
+        chained.add_rx(t, node, kind, bits, sender, joules)
     log = EventLog()
     log.append((0.0, 9, "death"))
     log.append_rx(t, receivers, kind, bits, sender, joules)
@@ -186,10 +207,13 @@ def freed_bytes(drop) -> int:
     return before - tracemalloc.get_traced_memory()[0]
 
 
-def test_event_log_holds_a_third_of_its_rows_memory():
+@pytest.mark.parametrize("protocol", ["qgrp", "aodv"])
+def test_event_log_holds_a_third_of_its_rows_memory(protocol):
     # The light benchmark workload's density (400 nodes per km^2) and traffic on a quarter
-    # of its field, so hello receptions make most rows, as they do at n = 400.
+    # of its field.  Hello receptions make most of QGRP's rows, as they do at n = 400, and
+    # RREQ flood receptions most of AODV's: add_rx joins those into runs.
     cfg = parse_config(
+        f"[protocol]\nname = {protocol}\n"
         "[topology]\nn = 100\nseed = 7\nfield_width = 500.0\nfield_height = 500.0\n"
         "[sim]\nduration_s = 4.0\nwarm_up_s = 1.0\nrepetitions = 1\n"
         + "".join(f"[flow:{i}]\nrate_bps = 20000.0\nstart_s = 1.0\n" for i in range(3))

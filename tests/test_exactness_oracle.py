@@ -4,8 +4,9 @@
 members (`_receive_hellos` undoes two):
 - its default collision table solves the fixed point for every cell on
   its own, where `build_table` solves each distinct contender count once;
-- its `event_log` is a plain list, so every row is logged as a tuple and
-  no reception extends an rx run;
+- its `event_log` is a `PlainLog`, a list whose `add_rx` and
+  `append_rx` store one plain tuple per receiver, so no rx row joins a
+  run;
 - `_schedule_receptions` schedules each reception as a heap entry of its
   own, with its own sequence number, so every block has one reception,
   and every reception goes through `run`'s full dispatch;
@@ -40,6 +41,17 @@ from conftest import (eager_charge, flood_death_config, hello_death_config, refe
                       scenarios, solve_each_cell)
 
 
+class PlainLog(list):
+    """A list of row tuples, with the engine's two rx-row writers storing one row each."""
+
+    def add_rx(self, time, node_id, pkt_kind, bits, sender, joules):
+        self.append((time, node_id, "rx", pkt_kind, bits, sender, joules))
+
+    def append_rx(self, time, receivers, pkt_kind, bits, sender, joules):
+        for node_id in receivers:
+            self.add_rx(time, node_id, pkt_kind, bits, sender, joules)
+
+
 class PlainEngine(Engine):
     """The engine without a shared table solve, a compact log, reception blocks, hello
     blocks settled at once, shared neighbour records, p_c reuse or lazy busy time."""
@@ -48,7 +60,7 @@ class PlainEngine(Engine):
         if table is None:
             table = solve_each_cell(REFERENCE_DENSITIES, REFERENCE_DISTANCES, cfg.dcf)
         super().__init__(cfg, seed, table)
-        self.event_log = []
+        self.event_log = PlainLog()
 
     def _schedule_receptions(self, time, receivers, sender_id, pkt, bits):
         for to_id in receivers:
@@ -83,7 +95,7 @@ class PlainEngine(Engine):
 
 
 # Pinned so that every run compares a block's run split at a death: a hello block's, and
-# an AODV RREQ flood's, whose later receptions extend the run in `_on_arrival`.
+# an AODV RREQ flood's, whose later receptions `EventLog.add_rx` joins to the run.
 MID_BLOCK_DEATH = hello_death_config()
 MID_FLOOD_DEATH = flood_death_config()
 
@@ -113,7 +125,8 @@ def test_engine_logs_what_the_plain_engine_logs(scenario):
     cfg, table = scenario
     fast = Engine(cfg, table=table).run()
     plain = PlainEngine(cfg, table=table).run()
-    assert type(plain.event_log) is list
+    assert type(plain.event_log) is PlainLog
+    assert all(type(entry) is tuple for entry in plain.event_log)
     assert fast.table == plain.table
     assert fast.event_log == plain.event_log
     assert format_log(fast.event_log) == reference_format_log(plain.event_log)

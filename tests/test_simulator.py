@@ -227,16 +227,13 @@ def test_run_dispatches_in_time_seq_order(events):
     dispatched = []
     for node in engine.topology.nodes:
         node.protocol = StubProtocol(dispatched)
-    tokens = []  # what each reception's stub returned, in dispatch order
 
-    def on_arrival(to_id, from_id, pkt, bits, now, entry):
-        dispatched.append((simulator._ARRIVAL, now, (to_id, from_id, entry)))
+    def on_arrival(to_id, from_id, pkt, bits, now):
+        dispatched.append((simulator._ARRIVAL, now, (to_id, from_id)))
         if to_id == 1 and from_id % 3 == 0:
             # An event a handler schedules at the current time waits for the end of the
             # block: its sequence number follows the block's.
             engine._schedule(now, simulator._TIMER, *EVENT_PAYLOADS[simulator._TIMER])
-        tokens.append(object())
-        return tokens[-1]
 
     engine._on_arrival = on_arrival
     engine._on_emit = lambda *args: dispatched.append((simulator._EMIT, args[-1], None))
@@ -273,14 +270,9 @@ def test_run_dispatches_in_time_seq_order(events):
     assert all(size <= 1 for size, _ in recorder.ready_at_pop)
     assert engine._ready == []
     expanded = []
-    received = 0  # receptions dispatched before this block
     for e in entries:
         if e[2] == simulator._ARRIVAL:
-            # A block's first reception gets None, and reception k what reception k - 1
-            # returned: never an entry another block returned.
-            expanded += [(e[2], e[0], (to_id, e[4], tokens[received + k - 1] if k else None))
-                         for k, to_id in enumerate(e[3])]
-            received += len(e[3])
+            expanded += [(e[2], e[0], (to_id, e[4])) for to_id in e[3]]
         elif e[2] != simulator._TX_DONE:
             expanded.append((e[2], e[0], None))
     assert dispatched == expanded
